@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sensorfusion/internal/cache"
+	"sensorfusion/internal/chaos"
 	"sensorfusion/internal/coordinator"
 	"sensorfusion/internal/experiments"
 	"sensorfusion/internal/results"
@@ -65,7 +66,7 @@ func NewRotatingJSONLSink(path string, rotateBytes int64, compress bool) Sink {
 // decompressing *.gz — the read-back path for rotated or compressed
 // sink output. Parse errors carry the file name and line number.
 func ReadRecordsFile(path string) ([]Record, error) {
-	rd, err := results.NewFileReader(path)
+	rd, err := results.NewFileReader(chaos.OS, path)
 	if err != nil {
 		return nil, err
 	}
@@ -255,14 +256,6 @@ type CoordinatorOptions struct {
 	// WorkerParallel bounds each worker's own engine goroutines
 	// (<= 0 divides NumCPU across the workers).
 	WorkerParallel int
-	// Speculate lets an otherwise-idle worker duplicate the running
-	// shard predicted to finish last into a side file; whichever attempt
-	// validates first publishes. Output bytes are unaffected.
-	Speculate bool
-	// ReCut re-packs the still-pending shards' index sets mid-run when
-	// measured per-index costs say the recorded plan drifted out of
-	// balance. Only meaningful with Balance (it needs cost estimates).
-	ReCut bool
 	// Partial degrades gracefully instead of failing the run: shards
 	// whose attempt budget is spent are recorded in partial.json under
 	// StateDir, the completed shards still merge, and the result reports
@@ -294,10 +287,6 @@ type CoordinateResult struct {
 	SkippedShards int
 	// Attempts counts worker launches this run performed.
 	Attempts int
-	// Speculated counts duplicate attempts launched by speculation.
-	Speculated int
-	// ReCuts counts mid-run re-partitions of the pending shards.
-	ReCuts int
 	// Partial reports a degraded Partial-mode run: Records covers only
 	// the completed shards and Failed explains the rest (partial.json in
 	// the state directory carries the same account for doctor/resume).
@@ -412,8 +401,6 @@ func Coordinate(o CoordinatorOptions, sink Sink) (CoordinateResult, error) {
 		Costs:        costs,
 		MergeWindow:  o.MergeWindow,
 		Seed:         o.Seed,
-		Speculate:    o.Speculate,
-		ReCut:        o.ReCut,
 		Partial:      o.Partial,
 		Run:          o.worker(cacheDir),
 		Sink:         sink,
@@ -442,8 +429,6 @@ func Coordinate(o CoordinatorOptions, sink Sink) (CoordinateResult, error) {
 		Violations:    res.Violations,
 		SkippedShards: res.SkippedShards,
 		Attempts:      res.Attempts,
-		Speculated:    res.Speculated,
-		ReCuts:        res.ReCuts,
 		Partial:       res.Partial,
 		Failed:        res.Failed,
 	}, nil

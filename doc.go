@@ -40,8 +40,8 @@
 // fusion.Fuser that reuses its sort/sweep buffers across rounds, a
 // batched Marzullo kernel (interval.Sweeper.FuseBatch) that scores many
 // candidate placements per call bit-identically to scalar fusion —
-// with runtime-dispatched lane kernels (generic, unrolled pure Go, and
-// AVX2 assembly selected by CPU detection; SENSORFUSION_KERNEL or
+// with runtime-dispatched lane kernels (generic, and AVX2 assembly
+// selected by CPU detection; SENSORFUSION_KERNEL or
 // SetKernel overrides) vectorizing the hot k≤2 shapes — and a
 // plan search whose uncached path allocates nothing (arena-backed
 // memoization and witness precomputation). The cmd/repro subcommands

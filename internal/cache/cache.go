@@ -116,7 +116,7 @@ func (s *Store) Put(key string, v any) error {
 	if err != nil {
 		return fmt.Errorf("cache: marshal %s: %w", key, err)
 	}
-	if err := WriteFileAtomic(p, data); err != nil {
+	if err := WriteFileAtomic(chaos.OS, p, data); err != nil {
 		return fmt.Errorf("cache: publish %s: %w", key, err)
 	}
 	s.puts.Add(1)
@@ -191,16 +191,12 @@ func entryKey(name string) (string, bool) {
 // guarantee on common filesystems). A crash mid-write leaves at worst
 // an orphaned temp file, and concurrent writers of identical content
 // race benignly. The coordinator's shard manifest shares this helper so
-// its crash-recovery contract is literally the cache's.
-func WriteFileAtomic(path string, data []byte) error {
-	return WriteFileAtomicFS(chaos.OS, path, data)
-}
-
-// WriteFileAtomicFS is WriteFileAtomic through an explicit filesystem
-// seam — the chaos soak injects fsync and rename failures here to prove
+// its crash-recovery contract is literally the cache's. Every file
+// operation goes through fsys (chaos.OS outside fault-injection tests)
+// — the chaos soak injects fsync and rename failures here to prove
 // callers surface (and retry) durability errors instead of ignoring
 // them.
-func WriteFileAtomicFS(fsys chaos.FS, path string, data []byte) error {
+func WriteFileAtomic(fsys chaos.FS, path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {

@@ -155,10 +155,10 @@ func TestConcurrentSameKeyPuts(t *testing.T) {
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "manifest.json")
-	if err := WriteFileAtomic(p, []byte("v1")); err != nil {
+	if err := WriteFileAtomic(chaos.OS, p, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileAtomic(p, []byte("v2")); err != nil {
+	if err := WriteFileAtomic(chaos.OS, p, []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(p)
@@ -189,13 +189,13 @@ func TestWriteFileAtomic(t *testing.T) {
 func TestWriteFileAtomicSyncsBeforePublish(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "manifest.json")
-	if err := WriteFileAtomic(p, []byte("old")); err != nil {
+	if err := WriteFileAtomic(chaos.OS, p, []byte("old")); err != nil {
 		t.Fatal(err)
 	}
 	in := chaos.NewInjector(chaos.OS,
 		chaos.Fault{Op: chaos.OpSync, Path: "manifest.json", Nth: 1, Kind: chaos.KindEIO},
 	)
-	err := WriteFileAtomicFS(in, p, []byte("new"))
+	err := WriteFileAtomic(in, p, []byte("new"))
 	if !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("fsync failure must abort the publish, got err=%v", err)
 	}
@@ -224,7 +224,7 @@ func TestWriteFileAtomicSyncsDirectory(t *testing.T) {
 	in := chaos.NewInjector(chaos.OS,
 		chaos.Fault{Op: chaos.OpSync, Path: filepath.Base(dir), Nth: 1, Kind: chaos.KindEIO},
 	)
-	err := WriteFileAtomicFS(in, p, []byte("data"))
+	err := WriteFileAtomic(in, p, []byte("data"))
 	if !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("directory fsync failure must be reported, got err=%v", err)
 	}

@@ -75,8 +75,7 @@ func chaosWorker(total int, sched *chaos.Schedule) WorkerFunc {
 
 // soakOutcome is the determinism signature of one soaked run: the
 // merged bytes, whether it degraded, and which shards failed with
-// which classification. Attempt counts are deliberately excluded —
-// speculation timing legitimately varies them.
+// which classification.
 type soakOutcome struct {
 	bytes   string
 	partial bool
@@ -95,7 +94,6 @@ func soakRun(t *testing.T, seed int64, total, shards int) soakOutcome {
 	opts.FS = sched.Injector(chaos.OS)
 	opts.Run = chaosWorker(total, sched)
 	opts.Partial = true
-	opts.Speculate = true
 	opts.Seed = seed
 	opts.MaxAttempts = 6 // spread-out faults can burn several attempts on one shard
 	opts.RetryBase = time.Millisecond

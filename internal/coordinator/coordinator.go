@@ -175,9 +175,10 @@ type Options struct {
 	// FS is the filesystem seam the coordinator's state I/O (shard
 	// files, manifest, spill buckets, partial report) goes through; nil
 	// selects the real OS. The chaos harness substitutes an injector
-	// here. The lock file and follow tailer stay on the real OS: the
-	// lock guards against REAL concurrent coordinators, and the tailer
-	// is read-only with a final authoritative drain.
+	// here, and the follow merge's final authoritative drain reads
+	// through it too. The lock file and the follow tailer's polling stay
+	// on the real OS: the lock guards against REAL concurrent
+	// coordinators, and a missed poll only defers records to the drain.
 	FS chaos.FS
 	// RetryBase is the first retry's backoff scale (default 250ms): a
 	// transiently failed shard is re-dispatched no sooner than a
@@ -189,15 +190,6 @@ type Options struct {
 	// Seed feeds the backoff jitter (and nothing else): the same seed
 	// replays the same retry schedule.
 	Seed int64
-	// Speculate lets an otherwise-idle worker duplicate the running
-	// shard predicted to finish last into a side file; whichever attempt
-	// validates first publishes. Output bytes are unaffected (validation
-	// and merge dedup already tolerate duplicate attempts).
-	Speculate bool
-	// ReCut re-packs the still-pending shards' index sets mid-run (a
-	// manifest-only operation) when measured per-index costs say the
-	// recorded plan drifted out of balance. Requires Costs.
-	ReCut bool
 	// Partial degrades gracefully instead of failing the run: shards
 	// whose attempt budget is spent (or that are classified permanent)
 	// are recorded in partial.json, the completed shards still merge,
@@ -219,10 +211,6 @@ type Result struct {
 	SkippedShards int
 	// Attempts counts worker launches performed by this run.
 	Attempts int
-	// Speculated counts duplicate attempts launched by speculation.
-	Speculated int
-	// ReCuts counts mid-run re-partitions of the pending shards.
-	ReCuts int
 	// Partial reports a degraded Partial-mode run: Records covers only
 	// the completed shards, Failed explains the rest, and partial.json
 	// in the state directory carries the same account for doctor/resume.
@@ -353,7 +341,7 @@ func partitionCost(partition [][]int, costs []float64) []float64 {
 // the record count is returned on success. A truncated, torn, or
 // foreign file is an error — the caller re-runs the shard.
 func validateShardFile(fsys chaos.FS, path string, indices []int) (int, error) {
-	rd, err := results.NewFileReaderFS(fsys, path)
+	rd, err := results.NewFileReader(fsys, path)
 	if err != nil {
 		return 0, err
 	}
@@ -388,37 +376,25 @@ type pendingShard struct {
 	notBefore time.Time
 }
 
-// attemptHandle lets the coordinator cancel one in-flight attempt —
-// how a speculative winner stops the primary it beat (and vice versa).
-type attemptHandle struct {
-	cancel context.CancelFunc
-}
-
 // coord is the running state of one Coordinate call.
 type coord struct {
 	opts    Options
 	fsys    chaos.FS
 	indices [][]int   // per-shard global index sets (from the manifest)
 	cost    []float64 // per-shard estimated cost
-	idxCost []float64 // per-global-index cost (nil without Costs)
 
 	// mu guards everything below; cond is signaled on every queue or
 	// state transition so idle workers re-evaluate what to run next.
-	mu         sync.Mutex
-	cond       *sync.Cond
-	man        *manifest
-	fatal      error
-	remaining  int // non-done shards (failed shards leave it too)
-	attempts   int
-	pending    []pendingShard
-	running    map[int]*attemptHandle // primary attempts in flight
-	specs      map[int]*attemptHandle // speculative attempts in flight
-	specTried  map[int]bool           // shards already speculated on once
-	lastErr    map[int]string         // previous attempt error text, per shard
-	failed     []FailedShard          // terminal failures (Partial mode)
-	speculated int
-	recuts     int
-	closed     bool // no more dispatches: run finished or failed
+	mu        sync.Mutex
+	cond      *sync.Cond
+	man       *manifest
+	fatal     error
+	remaining int // non-done shards (failed shards leave it too)
+	attempts  int
+	pending   []pendingShard
+	lastErr   map[int]string // previous attempt error text, per shard
+	failed    []FailedShard  // terminal failures (Partial mode)
+	closed    bool           // no more dispatches: run finished or failed
 
 	cancel context.CancelFunc
 	fol    *follower
@@ -508,11 +484,7 @@ func Coordinate(opts Options) (Result, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	c := &coord{opts: opts, fsys: opts.FS, indices: indices, man: man, cancel: cancel,
-		running:   make(map[int]*attemptHandle),
-		specs:     make(map[int]*attemptHandle),
-		specTried: make(map[int]bool),
-		lastErr:   make(map[int]string),
-	}
+		lastErr: make(map[int]string)}
 	c.cond = sync.NewCond(&c.mu)
 	go func() {
 		// Wake every dispatcher wait when the run is canceled, so no
@@ -526,14 +498,14 @@ func Coordinate(opts Options) (Result, error) {
 	for i := range man.Shard {
 		c.cost[i] = man.Shard[i].Cost
 	}
-	if c.idxCost = globalCosts(opts); c.idxCost != nil {
+	if idxCost := globalCosts(opts); idxCost != nil {
 		// This run's (possibly measured, possibly re-estimated) per-index
-		// costs override the recorded plan's shard sums; the gap between
-		// the two is exactly the drift ReCut watches for.
+		// costs override the recorded plan's shard sums, so a resume
+		// dispatches heaviest-first on the current estimates.
 		for i := range c.indices {
 			cost := 0.0
 			for _, k := range c.indices[i] {
-				cost += c.idxCost[k]
+				cost += idxCost[k]
 			}
 			c.cost[i] = cost
 		}
@@ -591,8 +563,6 @@ func Coordinate(opts Options) (Result, error) {
 	c.mu.Lock()
 	fatal := c.fatal
 	attempts := c.attempts
-	speculated := c.speculated
-	recuts := c.recuts
 	failed := append([]FailedShard(nil), c.failed...)
 	c.mu.Unlock()
 	if fatal != nil {
@@ -605,7 +575,7 @@ func Coordinate(opts Options) (Result, error) {
 	if len(failed) > 0 {
 		// Partial mode with terminal failures: merge what completed and
 		// account for the rest. (Partial excludes Follow, so no tailer.)
-		return c.finishPartial(checked, failed, skippedShards, attempts, speculated, recuts)
+		return c.finishPartial(checked, failed, skippedShards, attempts)
 	}
 
 	var merged int
@@ -635,10 +605,10 @@ func Coordinate(opts Options) (Result, error) {
 		spill := filepath.Join(opts.StateDir, "merge-spill")
 		var stats results.MergeStats
 		if opts.Universe != nil {
-			stats, err = results.MergeFilesIndexedFS(c.fsys, paths, checked, opts.Universe,
+			stats, err = results.MergeFilesIndexed(c.fsys, paths, checked, opts.Universe,
 				opts.MergeWindow, spill)
 		} else {
-			stats, err = results.MergeFilesFS(c.fsys, paths, checked, opts.Total,
+			stats, err = results.MergeFiles(c.fsys, paths, checked, opts.Total,
 				opts.MergeWindow, spill)
 		}
 		if err != nil {
@@ -656,7 +626,7 @@ func Coordinate(opts Options) (Result, error) {
 	c.fsys.Remove(PartialPath(opts.StateDir))
 
 	res := Result{Records: merged, SkippedShards: skippedShards, Attempts: attempts,
-		Speculated: speculated, ReCuts: recuts, Violations: checked.violations}
+		Violations: checked.violations}
 	if err := opts.Sink.Flush(); err != nil {
 		return Result{}, err
 	}
@@ -671,7 +641,7 @@ func Coordinate(opts Options) (Result, error) {
 // Result reports the degradation instead of an error. `repro coordinate
 // -resume` later re-runs exactly the failed shards and, on full
 // success, deletes the report.
-func (c *coord) finishPartial(checked *checkSink, failed []FailedShard, skipped, attempts, speculated, recuts int) (Result, error) {
+func (c *coord) finishPartial(checked *checkSink, failed []FailedShard, skipped, attempts int) (Result, error) {
 	sort.Slice(failed, func(a, b int) bool { return failed[a].Shard < failed[b].Shard })
 	var paths []string
 	var union, missing []int
@@ -689,7 +659,7 @@ func (c *coord) finishPartial(checked *checkSink, failed []FailedShard, skipped,
 	if len(union) > 0 {
 		spill := filepath.Join(c.opts.StateDir, "merge-spill")
 		var err error
-		stats, err = results.MergeFilesIndexedFS(c.fsys, paths, checked, union, c.opts.MergeWindow, spill)
+		stats, err = results.MergeFilesIndexed(c.fsys, paths, checked, union, c.opts.MergeWindow, spill)
 		if err != nil {
 			return Result{}, err
 		}
@@ -711,8 +681,7 @@ func (c *coord) finishPartial(checked *checkSink, failed []FailedShard, skipped,
 	c.logf("PARTIAL result: %d/%d records merged, %d shards failed terminally (%s); resume to complete the campaign",
 		stats.Records, c.opts.Total, len(failed), PartialPath(c.opts.StateDir))
 	return Result{Records: stats.Records, SkippedShards: skipped, Attempts: attempts,
-		Speculated: speculated, ReCuts: recuts, Partial: true, Failed: failed,
-		Violations: checked.violations}, nil
+		Partial: true, Failed: failed, Violations: checked.violations}, nil
 }
 
 // logCalibration fits the cost model from the per-shard wall times the
@@ -763,7 +732,7 @@ func openManifest(opts Options) (*manifest, [][]int, error) {
 			}
 		}
 		man = newManifest(opts, partition)
-		for _, pattern := range []string{"shard-*.jsonl", "shard-*.jsonl.gz", "shard-*.spec.jsonl.gz", "shard-*.log"} {
+		for _, pattern := range []string{"shard-*.jsonl", "shard-*.jsonl.gz", "shard-*.log"} {
 			stale, _ := filepath.Glob(filepath.Join(opts.StateDir, pattern))
 			for _, path := range stale {
 				opts.FS.Remove(path)
@@ -853,36 +822,29 @@ func doneRecords(m *manifest) int {
 	return n
 }
 
-// worker pulls dispatches until the run closes (success, failure, or
-// cancellation): primary shard attempts first, speculative duplicates
-// of the predicted-last shard when the pending queue runs dry.
+// worker pulls shard dispatches until the run closes (success, failure,
+// or cancellation).
 func (c *coord) worker(ctx context.Context) {
 	for {
-		i, spec, ok := c.nextDispatch(ctx)
+		i, ok := c.nextDispatch(ctx)
 		if !ok {
 			return
 		}
-		if spec {
-			c.runSpeculative(ctx, i)
-		} else {
-			c.runShard(ctx, i)
-		}
+		c.runShard(ctx, i)
 	}
 }
 
-// nextDispatch blocks until this worker has something to run. It picks
-// the heaviest READY pending shard (LPT at dispatch time, ties toward
-// the lower shard; backoff gates make a retried shard invisible until
-// its not-before passes), or — with Speculate on and nothing pending —
-// a duplicate attempt of the running shard predicted to finish last.
-// The second return is true for a speculative dispatch; ok=false means
-// the run has no further use for this worker.
-func (c *coord) nextDispatch(ctx context.Context) (shard int, speculative, ok bool) {
+// nextDispatch blocks until this worker has something to run: the
+// heaviest READY pending shard (LPT at dispatch time, ties toward the
+// lower shard; backoff gates make a retried shard invisible until its
+// not-before passes). ok=false means the run has no further use for
+// this worker.
+func (c *coord) nextDispatch(ctx context.Context) (shard int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
 		if c.fatal != nil || c.closed || ctx.Err() != nil {
-			return 0, false, false
+			return 0, false
 		}
 		now := time.Now()
 		best := -1
@@ -902,13 +864,7 @@ func (c *coord) nextDispatch(ctx context.Context) (shard int, speculative, ok bo
 		if best >= 0 {
 			i := c.pending[best].shard
 			c.pending = append(c.pending[:best], c.pending[best+1:]...)
-			return i, false, true
-		}
-		if len(c.pending) == 0 && c.opts.Speculate {
-			if i, found := c.pickSpeculationLocked(); found {
-				c.specTried[i] = true
-				return i, true, true
-			}
+			return i, true
 		}
 		if !soonest.IsZero() {
 			// Every pending shard is gated behind a backoff: sleep this
@@ -927,18 +883,19 @@ func (c *coord) nextDispatch(ctx context.Context) (shard int, speculative, ok bo
 	}
 }
 
-// runShard performs one primary attempt of shard i: truncate the shard
-// file, run the worker under the straggler deadline, validate the
-// output, and either complete the shard or classify the failure and
-// re-queue it behind a backoff gate (terminally failing it once the
-// attempt budget is spent or the failure is classified permanent). The
-// attempt's wall time is recorded in the manifest on success — the
-// measurements the cost model calibrates from.
+// runShard performs one attempt of shard i: truncate the shard file,
+// run the worker under the straggler deadline, validate the output, and
+// either complete the shard or classify the failure and re-queue it
+// behind a backoff gate (terminally failing it once the attempt budget
+// is spent or the failure is classified permanent). A shard has at most
+// one attempt in flight — it leaves the pending queue when dispatched
+// and re-enters only after this attempt resolves — so nothing else
+// writes its canonical file meanwhile. The attempt's wall time is
+// recorded in the manifest on success — the measurements the cost
+// model calibrates from.
 func (c *coord) runShard(ctx context.Context, i int) {
 	c.mu.Lock()
-	if c.man.Shard[i].State == shardDone || c.fatal != nil {
-		// A speculative attempt finished the shard while this dispatch
-		// was in flight (or the run is over).
+	if c.fatal != nil {
 		c.mu.Unlock()
 		return
 	}
@@ -946,18 +903,15 @@ func (c *coord) runShard(ctx context.Context, i int) {
 	c.man.Shard[i].Attempts++
 	attempt := c.man.Shard[i].Attempts
 	c.attempts++
-	actx, acancel := context.WithCancel(ctx)
-	c.running[i] = &attemptHandle{cancel: acancel}
 	saveErr := c.saveManLocked()
 	c.mu.Unlock()
-	defer acancel()
 	if saveErr != nil {
 		c.fail(saveErr)
 		return
 	}
 
 	start := time.Now()
-	err := c.attemptShardTo(actx, i, attempt, shardFile(c.opts.StateDir, i), true)
+	err := c.attemptShard(ctx, i, attempt)
 	// Validation is authoritative, regardless of how the worker exited:
 	// a worker may report an error after writing a complete file (e.g.
 	// `repro campaign` exits nonzero on a per-shard never-smaller
@@ -967,10 +921,8 @@ func (c *coord) runShard(ctx context.Context, i int) {
 	n, verr := validateShardFile(c.fsys, existingShardFile(c.opts.StateDir, i), c.indices[i])
 
 	c.mu.Lock()
-	delete(c.running, i)
-	if c.man.Shard[i].State == shardDone || c.fatal != nil {
-		// A speculative attempt published first (or the run is over);
-		// this attempt's outcome no longer matters.
+	if c.fatal != nil {
+		// The run is over; this attempt's outcome no longer matters.
 		c.mu.Unlock()
 		return
 	}
@@ -978,7 +930,7 @@ func (c *coord) runShard(ctx context.Context, i int) {
 		if err != nil {
 			c.logf("shard %d attempt %d: worker reported %v, but its output validated; accepting", i, attempt, err)
 		}
-		saveErr := c.completeLocked(i, n, time.Since(start), attempt, "primary")
+		saveErr := c.completeLocked(i, n, time.Since(start), attempt)
 		c.mu.Unlock()
 		if saveErr != nil {
 			c.fail(saveErr)
@@ -1025,66 +977,45 @@ func (c *coord) runShard(ctx context.Context, i int) {
 	}
 }
 
-// completeLocked marks shard i done after a validated attempt (primary
-// or speculative), cancels the racing duplicate if one is in flight,
-// and gives the re-cut check its completion-transition hook. Caller
+// completeLocked marks shard i done after a validated attempt. Caller
 // holds c.mu; the returned error is a failed manifest save the caller
 // must escalate via c.fail.
-func (c *coord) completeLocked(i, n int, elapsed time.Duration, attempt int, how string) error {
+func (c *coord) completeLocked(i, n int, elapsed time.Duration, attempt int) error {
 	c.man.Shard[i].State = shardDone
 	c.man.Shard[i].Records = n
 	c.man.Shard[i].ElapsedMS = elapsed.Milliseconds()
 	c.man.Shard[i].LastError = ""
 	c.man.Shard[i].FailClass = ""
-	if h := c.running[i]; h != nil {
-		h.cancel()
-		delete(c.running, i)
-	}
-	if h := c.specs[i]; h != nil {
-		h.cancel()
-	}
-	for j, p := range c.pending {
-		// A speculative win can land while the beaten primary's retry
-		// already sits in the queue; the shard is done, drop it.
-		if p.shard == i {
-			c.pending = append(c.pending[:j], c.pending[j+1:]...)
-			break
-		}
-	}
 	c.remaining--
 	if c.remaining == 0 {
 		c.closed = true
 	}
-	c.maybeRecutLocked()
 	saveErr := c.saveManLocked()
 	c.cond.Broadcast()
-	c.logf("shard %d/%d done: %d records in %v (%s attempt %d, cost %.3g)",
-		i, c.opts.Shards, n, elapsed.Round(time.Millisecond), how, attempt, c.cost[i])
+	c.logf("shard %d/%d done: %d records in %v (attempt %d, cost %.3g)",
+		i, c.opts.Shards, n, elapsed.Round(time.Millisecond), attempt, c.cost[i])
 	return saveErr
 }
 
-// attemptShardTo runs one worker attempt with its files and deadline
-// wired up, writing the gzip record stream to path (the canonical shard
-// file for a primary attempt, a side file for a speculative one). The
-// worker writes plain JSONL; the coordinator compresses it on the way
-// to disk, so exec and in-process workers alike produce gzip shard
+// attemptShard runs one worker attempt with its files and deadline
+// wired up, writing the gzip record stream to shard i's canonical file.
+// The worker writes plain JSONL; the coordinator compresses it on the
+// way to disk, so exec and in-process workers alike produce gzip shard
 // streams without knowing it. The worker may exit with an error after
 // writing a complete file; the caller decides by validating the output.
-func (c *coord) attemptShardTo(ctx context.Context, i, attempt int, path string, canonical bool) error {
+func (c *coord) attemptShard(ctx context.Context, i, attempt int) error {
 	actx := ctx
 	if c.opts.ShardTimeout > 0 {
 		var cancel context.CancelFunc
 		actx, cancel = context.WithTimeout(ctx, c.opts.ShardTimeout)
 		defer cancel()
 	}
-	if canonical {
-		// A retry of a shard that a pre-compression coordinator left behind
-		// must not strand the stale plain file: every read path prefers the
-		// .gz name once it exists, but removing the leftover keeps the state
-		// directory unambiguous.
-		c.fsys.Remove(legacyShardFile(c.opts.StateDir, i))
-	}
-	out, err := c.fsys.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	// A retry of a shard that a pre-compression coordinator left behind
+	// must not strand the stale plain file: every read path prefers the
+	// .gz name once it exists, but removing the leftover keeps the state
+	// directory unambiguous.
+	c.fsys.Remove(legacyShardFile(c.opts.StateDir, i))
+	out, err := c.fsys.OpenFile(shardFile(c.opts.StateDir, i), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}

@@ -30,7 +30,7 @@ type Finding struct {
 	// "manifest-v1", "unverifiable-shard", "orphaned-shard",
 	// "superseded-plain", "torn-gzip", "corrupt-shard", "corrupt-spec",
 	// "spec-skew", "partial-result", "stale-partial", "corrupt-partial",
-	// "stale-speculation", "orphaned-spill".
+	// "orphaned-spill".
 	Code string
 	// Path is the offending file.
 	Path string
@@ -177,9 +177,9 @@ func DoctorState(stateDir, reproCmd string) ([]Finding, error) {
 		}
 	}
 
-	// Transient run artifacts — speculative side files, merge spill
-	// buckets, and the partial-result report — are all legitimate while a
-	// campaign is LIVE, so they are judged only when no live same-host
+	// Transient run artifacts — merge spill buckets and the
+	// partial-result report — are both legitimate while a campaign is
+	// LIVE, so they are judged only when no live same-host
 	// coordinator holds the lock.
 	if !liveRun {
 		pp := PartialPath(stateDir)
@@ -197,13 +197,6 @@ func DoctorState(stateDir, reproCmd string) ([]Finding, error) {
 					fmt.Sprintf("campaign ended partially: %d/%d records merged, %d shards failed terminally", rep.Merged, rep.Total, len(rep.Failed)),
 					fmt.Sprintf("%s coordinate -resume -state %s", reproCmd, stateDir))
 			}
-		}
-		specFiles, _ := filepath.Glob(filepath.Join(stateDir, "shard-*.spec.jsonl.gz"))
-		sort.Strings(specFiles)
-		for _, p := range specFiles {
-			add("stale-speculation", p,
-				"leftover speculative attempt file from an interrupted run (resume never reads it)",
-				"rm "+p)
 		}
 		spillDir := filepath.Join(stateDir, "merge-spill")
 		if ents, derr := os.ReadDir(spillDir); derr == nil && len(ents) > 0 {

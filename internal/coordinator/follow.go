@@ -242,7 +242,7 @@ func (c *coord) tailShardGzip(path string, offset *int64) error {
 // record at a time plus the follower's contiguous-prefix buffer.
 func (c *coord) drainAll() error {
 	for i := 0; i < c.opts.Shards; i++ {
-		rd, err := results.NewFileReader(existingShardFile(c.opts.StateDir, i))
+		rd, err := results.NewFileReader(c.fsys, existingShardFile(c.opts.StateDir, i))
 		if err != nil {
 			return err
 		}

@@ -3,22 +3,15 @@ package coordinator
 // This file is the coordinator's self-healing machinery: attempt
 // failures are CLASSIFIED (transient I/O vs straggler vs permanent),
 // transient retries back off exponentially with deterministic seeded
-// jitter, idle workers SPECULATIVELY re-launch the shard predicted to
-// finish last (validation + the merge's dedup already tolerate
-// duplicate attempts), and the still-pending shards are RE-CUT when
-// their measured costs drift from the recorded plan. All of it stays
-// off the record hot path: classification and backoff run only on a
-// failed attempt, speculation and re-cutting only on dispatch and
-// completion transitions.
+// jitter, and shards whose budget is spent fail terminally into a
+// partial result in Partial mode. All of it stays off the record hot
+// path: it runs only on a failed attempt.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
-
-	"sensorfusion/internal/experiments"
 )
 
 // FailClass labels why a shard attempt (or, terminally, a whole shard)
@@ -108,205 +101,6 @@ func globalCosts(opts Options) []float64 {
 		global[k] = opts.Costs[pos]
 	}
 	return global
-}
-
-// lptPartition packs an arbitrary sparse index set into parts
-// cost-balanced subsets by longest-processing-time-first — the same
-// discipline as planPartition's balanced arm, generalized from
-// [0, total) to any index list. Ties break toward the lower index and
-// lower part, keeping the cut a pure function of its inputs.
-func lptPartition(indices []int, cost func(int) float64, parts int) [][]int {
-	out := make([][]int, parts)
-	order := append([]int(nil), indices...)
-	sort.SliceStable(order, func(a, b int) bool { return cost(order[a]) > cost(order[b]) })
-	load := make([]float64, parts)
-	for _, k := range order {
-		lightest := 0
-		for s := 1; s < parts; s++ {
-			if load[s] < load[lightest] {
-				lightest = s
-			}
-		}
-		out[lightest] = append(out[lightest], k)
-		load[lightest] += cost(k)
-	}
-	for i := range out {
-		sort.Ints(out[i])
-	}
-	return out
-}
-
-// recutImbalance is the drift trigger: the heaviest pending shard must
-// estimate more than this multiple of the pending mean before a re-cut
-// is worth the (cheap, manifest-only) disruption.
-const recutImbalance = 1.5
-
-// maybeRecutLocked re-cuts the still-pending shards' index sets when
-// the measured per-index costs say the recorded plan has drifted out of
-// balance: the union of every pending shard's indices is re-packed by
-// LPT over the same shard slots. Running and done shards are never
-// touched, which is what makes this a manifest-only operation on the
-// dynamic queue — no worker sees its index set change mid-attempt.
-// Caller holds c.mu; the caller's manifest save persists the new cut.
-func (c *coord) maybeRecutLocked() {
-	if !c.opts.ReCut || c.idxCost == nil || c.fatal != nil || len(c.pending) < 2 {
-		return
-	}
-	var maxCost, sum float64
-	for _, p := range c.pending {
-		cost := c.cost[p.shard]
-		sum += cost
-		if cost > maxCost {
-			maxCost = cost
-		}
-	}
-	mean := sum / float64(len(c.pending))
-	if mean <= 0 || maxCost <= recutImbalance*mean {
-		return
-	}
-	slots := make([]int, 0, len(c.pending))
-	for _, p := range c.pending {
-		slots = append(slots, p.shard)
-	}
-	sort.Ints(slots)
-	var union []int
-	for _, s := range slots {
-		union = append(union, c.indices[s]...)
-	}
-	sort.Ints(union)
-	if len(union) < len(slots) {
-		return
-	}
-	parts := lptPartition(union, func(k int) float64 { return c.idxCost[k] }, len(slots))
-	same := true
-	for j, s := range slots {
-		if len(parts[j]) == 0 {
-			// A degenerate cut (zero-cost indices piling into one part)
-			// would strand an empty pending shard; keep the old plan.
-			return
-		}
-		if !equalInts(parts[j], c.indices[s]) {
-			same = false
-		}
-	}
-	if same {
-		return
-	}
-	for j, s := range slots {
-		c.indices[s] = parts[j]
-		cost := 0.0
-		for _, k := range parts[j] {
-			cost += c.idxCost[k]
-		}
-		c.cost[s] = cost
-		c.man.Shard[s].Indices = experiments.FormatIndexSet(parts[j])
-		c.man.Shard[s].Cost = cost
-		c.man.Shard[s].Records = 0
-	}
-	for i := range c.pending {
-		c.pending[i].notBefore = time.Time{}
-	}
-	c.recuts++
-	c.logf("re-cut %d pending shards %v: heaviest estimated %.3g vs pending mean %.3g", len(slots), slots, maxCost, mean)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// pickSpeculationLocked chooses the running shard predicted to finish
-// last — highest estimated cost, ties toward the lower index — that has
-// not already been speculated on. Caller holds c.mu.
-func (c *coord) pickSpeculationLocked() (int, bool) {
-	best := -1
-	for i := range c.running {
-		if c.specTried[i] || c.specs[i] != nil {
-			continue
-		}
-		if best < 0 || c.cost[i] > c.cost[best] || (c.cost[i] == c.cost[best] && i < best) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
-}
-
-// runSpeculative performs a duplicate attempt of running shard i on an
-// idle worker, writing to a side file so the primary attempt is never
-// disturbed. Whichever attempt validates first publishes: the
-// speculative winner renames its side file over the canonical name and
-// completes the shard, canceling the primary; a speculative loser (the
-// primary finished first, or the side output did not validate) cleans
-// up silently. Correctness never depends on speculation — it only moves
-// the finish line of the predicted-last shard.
-func (c *coord) runSpeculative(ctx context.Context, i int) {
-	c.mu.Lock()
-	if c.man.Shard[i].State != shardRunning || c.running[i] == nil || c.fatal != nil {
-		c.mu.Unlock()
-		return
-	}
-	c.man.Shard[i].Attempts++
-	attempt := c.man.Shard[i].Attempts
-	c.attempts++
-	c.speculated++
-	actx, acancel := context.WithCancel(ctx)
-	c.specs[i] = &attemptHandle{cancel: acancel}
-	saveErr := c.saveManLocked()
-	c.mu.Unlock()
-	defer acancel()
-	if saveErr != nil {
-		c.fail(saveErr)
-		return
-	}
-	c.logf("speculating on shard %d (predicted last, cost %.3g): duplicate attempt %d", i, c.cost[i], attempt)
-
-	spec := specShardFile(c.opts.StateDir, i)
-	start := time.Now()
-	err := c.attemptShardTo(actx, i, attempt, spec, false)
-	n, verr := validateShardFile(c.fsys, spec, c.indices[i])
-
-	c.mu.Lock()
-	delete(c.specs, i)
-	if st := c.man.Shard[i].State; st == shardDone || st == shardFailed || c.fatal != nil {
-		// The shard resolved while this duplicate ran — the primary won,
-		// or (Partial mode) the shard failed terminally and its account
-		// is already settled. Either way this attempt just cleans up.
-		c.mu.Unlock()
-		c.fsys.Remove(spec)
-		return
-	}
-	if verr != nil {
-		c.mu.Unlock()
-		c.fsys.Remove(spec)
-		if err == nil {
-			err = verr
-		}
-		c.logf("speculative attempt %d of shard %d lost: %v", attempt, i, err)
-		return
-	}
-	// The speculative copy validated first: publish it as the shard file
-	// (the primary's open handle detaches harmlessly) and complete.
-	if rerr := c.fsys.Rename(spec, shardFile(c.opts.StateDir, i)); rerr != nil {
-		c.mu.Unlock()
-		c.fsys.Remove(spec)
-		c.logf("speculative attempt %d of shard %d could not publish: %v", attempt, i, rerr)
-		return
-	}
-	saveErr = c.completeLocked(i, n, time.Since(start), attempt, "speculative")
-	c.mu.Unlock()
-	if saveErr != nil {
-		c.fail(saveErr)
-	}
 }
 
 // failShardLocked records shard i's terminal failure in Partial mode:

@@ -78,113 +78,6 @@ func TestRetryDelay(t *testing.T) {
 	}
 }
 
-func TestLPTPartition(t *testing.T) {
-	// Equal costs round-robin by index order.
-	parts := lptPartition([]int{0, 1, 2, 3, 4, 5}, func(int) float64 { return 1 }, 2)
-	if want := [][]int{{0, 2, 4}, {1, 3, 5}}; !partitionEqual(parts, want) {
-		t.Fatalf("equal costs: got %v, want %v", parts, want)
-	}
-	// One dominant index claims a part to itself.
-	cost := func(k int) float64 {
-		if k == 10 {
-			return 10
-		}
-		return 1
-	}
-	parts = lptPartition([]int{0, 1, 2, 3, 10}, cost, 2)
-	if want := [][]int{{10}, {0, 1, 2, 3}}; !partitionEqual(parts, want) {
-		t.Fatalf("dominant index: got %v, want %v", parts, want)
-	}
-}
-
-func partitionEqual(a, b [][]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !equalInts(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestCoordinateSpeculation: one shard's primary attempt hangs until
-// canceled; the worker that goes idle speculatively duplicates it into
-// a side file, the duplicate validates and publishes, and the merged
-// bytes are still exactly the serial reference.
-func TestCoordinateSpeculation(t *testing.T) {
-	const total, shards = 8, 2
-	opts := baseOptions(t, total, shards)
-	opts.Workers = 2
-	opts.Speculate = true
-	opts.RetryBase = time.Millisecond
-	opts.ShardTimeout = 2 * time.Second // backstop so a broken speculation path fails, not hangs
-	opts.Run = func(ctx context.Context, task Task, out, logw io.Writer) error {
-		if task.Index == 1 && task.Attempt == 1 {
-			<-ctx.Done()
-			return ctx.Err()
-		}
-		return testWorker(total, nil, nil)(ctx, task, out, logw)
-	}
-	var buf bytes.Buffer
-	opts.Sink = results.NewJSONL(&buf)
-	res, err := Coordinate(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != serialBytes(t, total) {
-		t.Fatal("speculative completion changed the merged bytes")
-	}
-	if res.Speculated != 1 {
-		t.Fatalf("Speculated = %d, want 1 (the stuck shard was completed by retry, not speculation)", res.Speculated)
-	}
-	if _, err := os.Stat(specShardFile(opts.StateDir, 1)); !os.IsNotExist(err) {
-		t.Fatalf("speculative side file should be renamed away, stat err = %v", err)
-	}
-}
-
-// TestCoordinateReCut: a handcrafted lopsided plan (shard costs 1, 9,
-// 10) is re-balanced mid-run — after the heaviest shard completes, the
-// two pending shards' union is re-packed by measured cost into two
-// even halves — without disturbing the merged output.
-func TestCoordinateReCut(t *testing.T) {
-	const total, shards = 12, 3
-	opts := baseOptions(t, total, shards)
-	costs := make([]float64, total)
-	for k := range costs {
-		costs[k] = 1
-	}
-	costs[10], costs[11] = 5, 5
-	opts.Costs = costs
-
-	partition := [][]int{{0}, {1, 2, 3, 4, 5, 6, 7, 8, 9}, {10, 11}}
-	man := newManifest(opts, partition)
-	man.init()
-	if err := man.save(chaos.OS, opts.StateDir); err != nil {
-		t.Fatal(err)
-	}
-
-	opts.Resume = true
-	opts.ReCut = true
-	opts.Workers = 1 // deterministic dispatch order: heaviest shard first
-	opts.Run = testWorker(total, nil, nil)
-	var buf bytes.Buffer
-	opts.Sink = results.NewJSONL(&buf)
-	res, err := Coordinate(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != serialBytes(t, total) {
-		t.Fatal("re-cut changed the merged bytes")
-	}
-	// Shard 2 (cost 10) ran first; the pending pair {1, 9} had max 9 >
-	// 1.5 × mean 5, so exactly one re-cut fired.
-	if res.ReCuts != 1 {
-		t.Fatalf("ReCuts = %d, want 1", res.ReCuts)
-	}
-}
-
 // TestCoordinatePartialAndResume: a poisoned shard fails terminally in
 // Partial mode, the other shards still merge, partial.json accounts
 // for the gap (and doctor points at -resume), and a later clean resume
@@ -349,8 +242,8 @@ func TestCoordinateFollowTailsAcrossWorkerKill(t *testing.T) {
 }
 
 // TestDoctorHealingArtifacts: the doctor findings the self-healing
-// machinery can leave behind — a stale partial report, a corrupt one, a
-// leftover speculative side file, and orphaned merge spill buckets.
+// machinery can leave behind — a stale partial report, a corrupt one,
+// and orphaned merge spill buckets.
 func TestDoctorHealingArtifacts(t *testing.T) {
 	t.Run("corrupt-partial", func(t *testing.T) {
 		dir := t.TempDir()
@@ -371,16 +264,6 @@ func TestDoctorHealingArtifacts(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantFinding(t, opts.StateDir, "stale-partial")
-	})
-	t.Run("stale-speculation", func(t *testing.T) {
-		dir := t.TempDir()
-		if err := os.WriteFile(specShardFile(dir, 3), []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		f := wantFinding(t, dir, "stale-speculation")
-		if f.Path != specShardFile(dir, 3) {
-			t.Fatalf("finding path %q", f.Path)
-		}
 	})
 	t.Run("orphaned-spill", func(t *testing.T) {
 		dir := t.TempDir()

@@ -130,16 +130,6 @@ func fileExists(path string) bool {
 	return err == nil
 }
 
-// specShardFile names the side file a speculative duplicate attempt of
-// shard i writes to. Its base name deliberately does not contain the
-// canonical shard file's base (".spec." sits inside, not appended), so
-// a fault schedule targeting the canonical name never trips on the
-// speculative copy. The winner is renamed over the canonical name;
-// losers are removed.
-func specShardFile(stateDir string, i int) string {
-	return filepath.Join(stateDir, fmt.Sprintf("shard-%04d.spec.jsonl.gz", i))
-}
-
 // shardLog names shard i's worker log (stderr of every attempt,
 // appended) inside the state directory.
 func shardLog(stateDir string, i int) string {
@@ -182,7 +172,7 @@ func (m *manifest) save(fsys chaos.FS, stateDir string) error {
 	if err != nil {
 		return fmt.Errorf("coordinator: marshal manifest: %w", err)
 	}
-	if err := cache.WriteFileAtomicFS(fsys, manifestPath(stateDir), append(data, '\n')); err != nil {
+	if err := cache.WriteFileAtomic(fsys, manifestPath(stateDir), append(data, '\n')); err != nil {
 		return fmt.Errorf("coordinator: save manifest: %w", err)
 	}
 	return nil

@@ -70,7 +70,7 @@ func (r *PartialReport) save(fsys chaos.FS, stateDir string) error {
 	if err != nil {
 		return fmt.Errorf("coordinator: marshal partial report: %w", err)
 	}
-	if err := cache.WriteFileAtomicFS(fsys, PartialPath(stateDir), append(data, '\n')); err != nil {
+	if err := cache.WriteFileAtomic(fsys, PartialPath(stateDir), append(data, '\n')); err != nil {
 		return fmt.Errorf("coordinator: save partial report: %w", err)
 	}
 	return nil

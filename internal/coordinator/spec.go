@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"sensorfusion/internal/cache"
+	"sensorfusion/internal/chaos"
 )
 
 // specName is the spec manifest's file name inside the state directory.
@@ -58,7 +59,7 @@ func SaveSpec(stateDir string, params string, digests []string) error {
 	if err != nil {
 		return fmt.Errorf("coordinator: marshal spec: %w", err)
 	}
-	if err := cache.WriteFileAtomic(SpecPath(stateDir), append(data, '\n')); err != nil {
+	if err := cache.WriteFileAtomic(chaos.OS, SpecPath(stateDir), append(data, '\n')); err != nil {
 		return fmt.Errorf("coordinator: save spec: %w", err)
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sensorfusion/internal/cache"
+	"sensorfusion/internal/chaos"
 	"sensorfusion/internal/results"
 	"sensorfusion/internal/schedule"
 )
@@ -113,7 +114,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 			all = append(all, recs...)
 		}
 		var merged bytes.Buffer
-		reorder := results.NewReorder(results.NewJSONL(&merged), 0)
+		reorder := results.NewReorderWindow(chaos.OS, results.NewJSONL(&merged), 0, 0, "")
 		for _, rec := range all {
 			if err := reorder.Write(rec); err != nil {
 				t.Fatal(err)

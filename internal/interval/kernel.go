@@ -38,13 +38,13 @@ package interval
 //     constants by the within-lane sortedness (clo0 <= clo1,
 //     chi0 <= chi1) — finalizeK2/finalizeK1 below.
 //
-// Kernel selection is a process-wide dispatch: "generic" (fuseMerged),
-// "unrolled" (the pure-Go lane kernels here, any GOARCH), and "avx2"
-// (kernel_amd64.s, four lanes per pass). The default is chosen at
-// startup by CPU feature detection — AVX2 on capable amd64, the
-// generic kernel everywhere else — and can be forced with the
-// SENSORFUSION_KERNEL environment variable or SetKernel (tests, and
-// `make bench-kernels`, force each mode for apples-to-apples runs).
+// Kernel selection is a process-wide dispatch: "generic" (fuseMerged)
+// and "avx2" (kernel_amd64.s, four lanes per pass, with the pure-Go
+// lane kernels here scoring k=1 batches and the n mod 4 tail lanes).
+// The default is chosen at startup by CPU feature detection — AVX2 on
+// capable amd64, the generic kernel everywhere else — and can be forced
+// with the SENSORFUSION_KERNEL environment variable or SetKernel (tests,
+// and `make bench-kernels`, force each mode for apples-to-apples runs).
 
 import (
 	"fmt"
@@ -57,12 +57,11 @@ import (
 type kernelKind uint8
 
 const (
-	kernelGeneric  kernelKind = iota // fuseMerged: serial two-pointer merge per lane
-	kernelUnrolled                   // pure-Go branch-free lane kernel (k <= 2)
-	kernelAVX2                       // amd64 assembly, 4 lanes per pass (k == 2)
+	kernelGeneric kernelKind = iota // fuseMerged: serial two-pointer merge per lane
+	kernelAVX2                      // amd64 assembly, 4 lanes per pass (k == 2)
 )
 
-var kernelNameTab = [...]string{"generic", "unrolled", "avx2"}
+var kernelNameTab = [...]string{"generic", "avx2"}
 
 // activeKernel is the process-wide batch-kernel selection. It is read
 // on every FuseBatch/ScoreBatch call and written only by SetKernel (and
@@ -80,11 +79,11 @@ func init() {
 }
 
 // kernelAvailable reports whether kind can run in this build on this
-// CPU. generic and unrolled are portable; avx2 needs the amd64 assembly
-// build (no purego tag) and runtime AVX2+OSXSAVE support.
+// CPU. generic is portable; avx2 needs the amd64 assembly build (no
+// purego tag) and runtime AVX2+OSXSAVE support.
 func kernelAvailable(kind kernelKind) bool {
 	switch kind {
-	case kernelGeneric, kernelUnrolled:
+	case kernelGeneric:
 		return true
 	case kernelAVX2:
 		return haveAVX2
@@ -107,8 +106,8 @@ func KernelNames() []string {
 // KernelName returns the name of the currently selected batch kernel.
 func KernelName() string { return kernelNameTab[activeKernel] }
 
-// SetKernel selects the batch kernel by name ("generic", "unrolled",
-// "avx2"), overriding the CPU-detected default. It fails when the name
+// SetKernel selects the batch kernel by name ("generic", "avx2"),
+// overriding the CPU-detected default. It fails when the name
 // is unknown or the kernel is unavailable on this CPU/build; the
 // selection is process-wide and not synchronized with running batch
 // calls. The SENSORFUSION_KERNEL environment variable applies the same
@@ -191,7 +190,8 @@ func (s *Sweeper) ensureKernelTables(need int) {
 // Exactly one of out (FuseBatch) and widths (ScoreBatch) is non-nil.
 // Only k == 1 and k == 2 route here (the shapes of every hot path);
 // the AVX2 kernel additionally requires k == 2 and handles lanes in
-// groups of four, leaving the remainder to the unrolled kernel.
+// groups of four, leaving k == 1 batches and the remainder lanes to the
+// pure-Go lane kernels.
 func (s *Sweeper) fuseBatchLanes(b *Batch, need int, out []Interval, widths []float64, ok []bool) {
 	s.ensureKernelTables(need)
 	i := 0

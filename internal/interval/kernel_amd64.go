@@ -51,8 +51,7 @@ func detectAVX2() bool {
 }
 
 // defaultKernel selects the startup kernel: the AVX2 four-lane kernel
-// when the CPU supports it, the generic merge kernel otherwise (the
-// unrolled kernel stays selectable via SENSORFUSION_KERNEL/SetKernel).
+// when the CPU supports it, the generic merge kernel otherwise.
 func defaultKernel() kernelKind {
 	if haveAVX2 {
 		return kernelAVX2
@@ -68,11 +67,11 @@ var (
 )
 
 // fuseLanesAVX2 drives fuseK2AVX2 over b's lanes in groups of four and
-// finalizes each lane's candidate thresholds in Go (identical to the
-// unrolled kernel's finalizeK2 — the assembly computes exactly Part A
+// finalizes each lane's candidate thresholds in Go (finalizeK2, shared
+// with the pure-Go fuseLaneK2 — the assembly computes exactly Part A
 // and Part B of fuseLaneK2's pass). It returns the number of lanes
-// consumed; the remainder (b.n mod 4) falls through to the unrolled
-// kernel in fuseBatchLanes.
+// consumed; the remainder (b.n mod 4) falls through to fuseLaneK2 in
+// fuseBatchLanes.
 func (s *Sweeper) fuseLanesAVX2(b *Batch, need int, out []Interval, widths []float64, ok []bool) int {
 	nb := len(s.los)
 	blos, bhis := &kernelDummyF64, &kernelDummyF64

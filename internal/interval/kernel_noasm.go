@@ -3,8 +3,7 @@
 package interval
 
 // Non-amd64 (and purego) builds carry no assembly kernel: the runtime
-// dispatch falls back to the generic merge kernel, with the unrolled
-// pure-Go lane kernel selectable via SENSORFUSION_KERNEL/SetKernel.
+// dispatch always runs the generic merge kernel.
 
 // haveAVX2 is false without the amd64 assembly build.
 const haveAVX2 = false

@@ -367,8 +367,8 @@ func (c *Collector) Flush() error { return nil }
 // order, which keeps streamed output byte-identical to a serial run for
 // any worker count or shard interleaving.
 //
-// A Reorder built with NewReorder buffers every out-of-order record in
-// memory. NewReorderWindow bounds that buffer: records arriving more
+// With window 0, a Reorder buffers every out-of-order record in
+// memory. A positive window bounds that buffer: records arriving more
 // than window positions ahead of the next expected index are spilled to
 // temporary bucket files and reloaded when the window reaches them, so
 // peak memory is O(window) records regardless of how many records the
@@ -400,32 +400,21 @@ type spillBucket struct {
 	seen []uint64
 }
 
-// NewReorder returns a reordering wrapper around next that expects the
-// record indices base, base+1, base+2, ... and buffers out-of-order
-// records in memory without bound.
-func NewReorder(next Sink, base int) *Reorder {
-	return &Reorder{next: next, base: base, expect: base, pending: make(map[int]Record)}
-}
-
-// NewReorderWindow returns a bounded-memory reordering wrapper: records
-// arriving at least window positions beyond the next expected index are
-// appended to per-bucket spill files in spillDir (created on demand; ""
-// selects a private temp directory) instead of held in memory, and are
-// reloaded when the release point reaches their bucket. At most
-// 2*window records are ever held in memory — the in-window pending set
-// plus one freshly loaded bucket — so merging a larger-than-memory
-// record set is bounded by the window, not the set. window <= 0 means
-// unbounded (identical to NewReorder). The released byte stream is
-// identical to the unbounded reorder's for every arrival order.
-func NewReorderWindow(next Sink, base, window int, spillDir string) *Reorder {
-	return NewReorderWindowFS(next, base, window, spillDir, chaos.OS)
-}
-
-// NewReorderWindowFS is NewReorderWindow with the spill files routed
-// through an explicit filesystem seam, so the chaos soak can inject
-// write failures into the merge's spill path.
-func NewReorderWindowFS(next Sink, base, window int, spillDir string, fsys chaos.FS) *Reorder {
-	r := NewReorder(next, base)
+// NewReorderWindow returns a reordering wrapper around next that
+// expects the record indices base, base+1, base+2, ... With window <= 0
+// it buffers out-of-order records in memory without bound. With a
+// positive window, records arriving at least window positions beyond
+// the next expected index are appended to per-bucket spill files in
+// spillDir (created on demand; "" selects a private temp directory)
+// instead of held in memory, and are reloaded when the release point
+// reaches their bucket. At most 2*window records are ever held in
+// memory — the in-window pending set plus one freshly loaded bucket —
+// so merging a larger-than-memory record set is bounded by the window,
+// not the set. The released byte stream is identical for every window
+// and arrival order. The spill files go through fsys (chaos.OS outside
+// fault-injection tests); an unbounded reorder never touches it.
+func NewReorderWindow(fsys chaos.FS, next Sink, base, window int, spillDir string) *Reorder {
+	r := &Reorder{next: next, base: base, expect: base, pending: make(map[int]Record)}
 	if window > 0 {
 		r.window = window
 		r.spillDir = spillDir
@@ -637,7 +626,7 @@ func MergeInto(recs []Record, sink Sink, expect int) error {
 	if expect > 0 && len(recs) != expect {
 		return fmt.Errorf("results: merge has %d records, expected %d (missing or extra shard data)", len(recs), expect)
 	}
-	reorder := NewReorder(sink, 0)
+	reorder := NewReorderWindow(chaos.OS, sink, 0, 0, "")
 	for _, rec := range recs {
 		if err := reorder.Write(rec); err != nil {
 			return err

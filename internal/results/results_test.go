@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"sensorfusion/internal/chaos"
 )
 
 func sampleRecord(i int) Record {
@@ -174,7 +176,7 @@ func TestReorderRestoresAnyPermutation(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		order := rng.Perm(n)
 		got := &Collector{}
-		r := NewReorder(got, 0)
+		r := NewReorderWindow(chaos.OS, got, 0, 0, "")
 		for _, i := range order {
 			if err := r.Write(sampleRecord(i)); err != nil {
 				t.Fatal(err)
@@ -192,7 +194,7 @@ func TestReorderRestoresAnyPermutation(t *testing.T) {
 func TestReorderConcurrentWriters(t *testing.T) {
 	const n = 200
 	got := &Collector{}
-	r := NewReorder(got, 0)
+	r := NewReorderWindow(chaos.OS, got, 0, 0, "")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -218,7 +220,7 @@ func TestReorderConcurrentWriters(t *testing.T) {
 }
 
 func TestReorderRejectsDuplicatesAndGaps(t *testing.T) {
-	r := NewReorder(&Collector{}, 0)
+	r := NewReorderWindow(chaos.OS, &Collector{}, 0, 0, "")
 	if err := r.Write(sampleRecord(0)); err != nil {
 		t.Fatal(err)
 	}

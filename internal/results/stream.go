@@ -48,17 +48,11 @@ func (r *Reader) Named(name string) *Reader {
 	return r
 }
 
-// NewFileReader opens path for incremental record reading,
-// transparently decompressing gzip members when the name ends in ".gz".
-// Close releases the underlying file.
-func NewFileReader(path string) (*Reader, error) {
-	return NewFileReaderFS(chaos.OS, path)
-}
-
-// NewFileReaderFS is NewFileReader with the open routed through an
-// explicit filesystem seam, so fault injection can hit the read side of
-// validation and merging.
-func NewFileReaderFS(fsys chaos.FS, path string) (*Reader, error) {
+// NewFileReader opens path through fsys (chaos.OS outside
+// fault-injection tests) for incremental record reading, transparently
+// decompressing gzip members when the name ends in ".gz". Close
+// releases the underlying file.
+func NewFileReader(fsys chaos.FS, path string) (*Reader, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return nil, err
@@ -312,64 +306,10 @@ type MergeStats struct {
 // interior gaps are errors; a missing TAIL is undetectable from the
 // records alone, so callers that know the expected count pass
 // expect > 0. window <= 0 merges unbounded in memory; spillDir "" uses
-// a private temp directory. The sink is flushed on success.
-func MergeFiles(paths []string, sink Sink, expect, window int, spillDir string) (MergeStats, error) {
-	return MergeFilesFS(chaos.OS, paths, sink, expect, window, spillDir)
-}
-
-// MergeFilesFS is MergeFiles with every file operation (shard reads,
-// spill bucket writes) routed through an explicit filesystem seam.
-func MergeFilesFS(fsys chaos.FS, paths []string, sink Sink, expect, window int, spillDir string) (MergeStats, error) {
-	stats := MergeStats{Files: len(paths)}
-	counter := &countingSink{next: sink}
-	reorder := NewReorderWindowFS(counter, 0, window, spillDir, fsys)
-	finish := func(err error) (MergeStats, error) {
-		stats.Spilled = reorder.Spilled()
-		stats.MaxHeld = reorder.MaxHeld()
-		stats.Records = counter.n
-		return stats, err
-	}
-	readers := make([]*Reader, 0, len(paths))
-	defer func() {
-		for _, rd := range readers {
-			rd.Close()
-		}
-	}()
-	for _, path := range paths {
-		rd, err := NewFileReaderFS(fsys, path)
-		if err != nil {
-			reorder.cleanup()
-			return finish(err)
-		}
-		readers = append(readers, rd)
-	}
-	total := 0
-	for len(readers) > 0 {
-		live := readers[:0]
-		for _, rd := range readers {
-			rec, err := rd.Next()
-			if err == io.EOF {
-				rd.Close()
-				continue
-			}
-			if err != nil {
-				reorder.cleanup()
-				return finish(err)
-			}
-			total++
-			if err := reorder.Write(rec); err != nil {
-				reorder.cleanup()
-				return finish(err)
-			}
-			live = append(live, rd)
-		}
-		readers = readers[:len(live)]
-	}
-	if expect > 0 && total != expect {
-		reorder.cleanup()
-		return finish(fmt.Errorf("results: merge has %d records, expected %d (missing or extra shard data)", total, expect))
-	}
-	return finish(reorder.Flush())
+// a private temp directory. Every file operation (shard reads, spill
+// bucket writes) goes through fsys. The sink is flushed on success.
+func MergeFiles(fsys chaos.FS, paths []string, sink Sink, expect, window int, spillDir string) (MergeStats, error) {
+	return mergeFiles(fsys, paths, sink, nil, expect, window, spillDir)
 }
 
 // MergeFilesIndexed is MergeFiles for a SPARSE global index set: the
@@ -384,14 +324,7 @@ func MergeFilesFS(fsys chaos.FS, paths []string, sink Sink, expect, window int, 
 // duplicates and missing indices. This is the merge an incremental
 // update's partial re-run streams through: its shard files cover only
 // the invalidated index set, not [0, total).
-func MergeFilesIndexed(paths []string, sink Sink, indices []int, window int, spillDir string) (MergeStats, error) {
-	return MergeFilesIndexedFS(chaos.OS, paths, sink, indices, window, spillDir)
-}
-
-// MergeFilesIndexedFS is MergeFilesIndexed through an explicit
-// filesystem seam, the variant the coordinator's partial merge and the
-// chaos soak use.
-func MergeFilesIndexedFS(fsys chaos.FS, paths []string, sink Sink, indices []int, window int, spillDir string) (MergeStats, error) {
+func MergeFilesIndexed(fsys chaos.FS, paths []string, sink Sink, indices []int, window int, spillDir string) (MergeStats, error) {
 	posOf := make(map[int]int, len(indices))
 	last := -1
 	for pos, idx := range indices {
@@ -401,9 +334,17 @@ func MergeFilesIndexedFS(fsys chaos.FS, paths []string, sink Sink, indices []int
 		last = idx
 		posOf[idx] = pos
 	}
+	return mergeFiles(fsys, paths, &indexRestoringSink{next: sink, indices: indices}, posOf, len(indices), window, spillDir)
+}
+
+// mergeFiles is the shared round-robin read loop of MergeFiles and
+// MergeFilesIndexed. A non-nil posOf translates each record's global
+// index to its dense position (rejecting indices outside the set)
+// before the reorder window sees it.
+func mergeFiles(fsys chaos.FS, paths []string, sink Sink, posOf map[int]int, expect, window int, spillDir string) (MergeStats, error) {
 	stats := MergeStats{Files: len(paths)}
-	counter := &countingSink{next: &indexRestoringSink{next: sink, indices: indices}}
-	reorder := NewReorderWindowFS(counter, 0, window, spillDir, fsys)
+	counter := &countingSink{next: sink}
+	reorder := NewReorderWindow(fsys, counter, 0, window, spillDir)
 	finish := func(err error) (MergeStats, error) {
 		stats.Spilled = reorder.Spilled()
 		stats.MaxHeld = reorder.MaxHeld()
@@ -417,7 +358,7 @@ func MergeFilesIndexedFS(fsys chaos.FS, paths []string, sink Sink, indices []int
 		}
 	}()
 	for _, path := range paths {
-		rd, err := NewFileReaderFS(fsys, path)
+		rd, err := NewFileReader(fsys, path)
 		if err != nil {
 			reorder.cleanup()
 			return finish(err)
@@ -437,13 +378,15 @@ func MergeFilesIndexedFS(fsys chaos.FS, paths []string, sink Sink, indices []int
 				reorder.cleanup()
 				return finish(err)
 			}
-			pos, ok := posOf[rec.Index]
-			if !ok {
-				reorder.cleanup()
-				return finish(fmt.Errorf("%s:%d: results: record index %d is not in the merge's index set", rd.Name(), rd.Line(), rec.Index))
+			if posOf != nil {
+				pos, ok := posOf[rec.Index]
+				if !ok {
+					reorder.cleanup()
+					return finish(fmt.Errorf("%s:%d: results: record index %d is not in the merge's index set", rd.Name(), rd.Line(), rec.Index))
+				}
+				rec.Index = pos
 			}
 			total++
-			rec.Index = pos
 			if err := reorder.Write(rec); err != nil {
 				reorder.cleanup()
 				return finish(err)
@@ -452,9 +395,9 @@ func MergeFilesIndexedFS(fsys chaos.FS, paths []string, sink Sink, indices []int
 		}
 		readers = readers[:len(live)]
 	}
-	if total != len(indices) {
+	if expect > 0 && total != expect {
 		reorder.cleanup()
-		return finish(fmt.Errorf("results: merge has %d records, expected %d (missing or extra shard data)", total, len(indices)))
+		return finish(fmt.Errorf("results: merge has %d records, expected %d (missing or extra shard data)", total, expect))
 	}
 	return finish(reorder.Flush())
 }

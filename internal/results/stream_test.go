@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sensorfusion/internal/chaos"
 )
 
 // serialJSONL renders records 0..n-1 through a plain JSONL sink — the
@@ -73,7 +75,7 @@ func TestReorderWindowAdversarialOrders(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			var got bytes.Buffer
-			r := NewReorderWindow(NewJSONL(&got), 0, window, t.TempDir())
+			r := NewReorderWindow(chaos.OS, NewJSONL(&got), 0, window, t.TempDir())
 			feed(t, r, order)
 			if !bytes.Equal(got.Bytes(), want) {
 				t.Fatalf("output differs from serial stream:\n%s", got.String())
@@ -96,7 +98,7 @@ func TestReorderWindowSpillAccounting(t *testing.T) {
 	const n, window, stride = 200, 10, 4
 	dir := t.TempDir()
 	var got bytes.Buffer
-	r := NewReorderWindow(NewJSONL(&got), 0, window, dir)
+	r := NewReorderWindow(chaos.OS, NewJSONL(&got), 0, window, dir)
 	for s := 0; s < stride; s++ {
 		for i := s; i < n; i += stride {
 			if err := r.Write(sampleRecord(i)); err != nil {
@@ -130,7 +132,7 @@ func TestReorderWindowSpillAccounting(t *testing.T) {
 // duplicate is caught AT APPEND TIME, while the offending writer is
 // still on the stack, not deferred to the bucket reload.
 func TestReorderWindowRejectsDuplicates(t *testing.T) {
-	r := NewReorderWindow(NewJSONL(io.Discard), 0, 4, t.TempDir())
+	r := NewReorderWindow(chaos.OS, NewJSONL(io.Discard), 0, 4, t.TempDir())
 	if err := r.Write(sampleRecord(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func TestReorderWindowRejectsDuplicates(t *testing.T) {
 // TestReorderWindowFlushReportsGaps: a gap below spilled records still
 // fails the flush.
 func TestReorderWindowFlushReportsGaps(t *testing.T) {
-	r := NewReorderWindow(NewJSONL(io.Discard), 0, 2, t.TempDir())
+	r := NewReorderWindow(chaos.OS, NewJSONL(io.Discard), 0, 2, t.TempDir())
 	for _, i := range []int{0, 7, 9} { // 7 and 9 spill; 1..6, 8 missing
 		if err := r.Write(sampleRecord(i)); err != nil {
 			t.Fatal(err)
@@ -210,7 +212,7 @@ func TestRotatingJSONL(t *testing.T) {
 			}
 			var joined bytes.Buffer
 			for _, f := range files {
-				rd, err := NewFileReader(f)
+				rd, err := NewFileReader(chaos.OS, f)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -288,7 +290,7 @@ func TestReaderFailsFastWithPosition(t *testing.T) {
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rd, err := NewFileReader(path)
+	rd, err := NewFileReader(chaos.OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +330,7 @@ func TestMergeFiles(t *testing.T) {
 	// Reverse argument order: ordering must come from indices.
 	rev := []string{paths[3], paths[1], paths[2], paths[0]}
 	var got bytes.Buffer
-	stats, err := MergeFiles(rev, NewJSONL(&got), n, 6, dir)
+	stats, err := MergeFiles(chaos.OS, rev, NewJSONL(&got), n, 6, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,11 +345,11 @@ func TestMergeFiles(t *testing.T) {
 	}
 
 	// Wrong expected count.
-	if _, err := MergeFiles(rev, NewJSONL(io.Discard), n+1, 6, dir); err == nil {
+	if _, err := MergeFiles(chaos.OS, rev, NewJSONL(io.Discard), n+1, 6, dir); err == nil {
 		t.Fatal("bad expected count accepted")
 	}
 	// A gap (missing shard).
-	if _, err := MergeFiles(paths[:3], NewJSONL(io.Discard), 0, 6, dir); err == nil {
+	if _, err := MergeFiles(chaos.OS, paths[:3], NewJSONL(io.Discard), 0, 6, dir); err == nil {
 		t.Fatal("gapped merge accepted")
 	}
 	// A corrupt mid-file record reports file and line without reading
@@ -362,7 +364,7 @@ func TestMergeFiles(t *testing.T) {
 	if err := os.WriteFile(bad, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err = MergeFiles([]string{bad, paths[1], paths[2], paths[3]}, NewJSONL(io.Discard), 0, 6, dir)
+	_, err = MergeFiles(chaos.OS, []string{bad, paths[1], paths[2], paths[3]}, NewJSONL(io.Discard), 0, 6, dir)
 	if err == nil || !strings.Contains(err.Error(), bad+":2:") {
 		t.Fatalf("corrupt merge input error lacks position: %v", err)
 	}
@@ -412,7 +414,7 @@ func BenchmarkBoundedMerge(b *testing.B) {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
 			b.ReportAllocs()
 			for k := 0; k < b.N; k++ {
-				if _, err := MergeFiles(paths, NewJSONL(io.Discard), n, window, dir); err != nil {
+				if _, err := MergeFiles(chaos.OS, paths, NewJSONL(io.Discard), n, window, dir); err != nil {
 					b.Fatal(err)
 				}
 			}
