@@ -14,7 +14,7 @@
 //     against per-candidate scoring, at 64 and 512 candidates.
 //   - BenchmarkScenarioFaultsStep (internal/experiments) — one step of
 //     the fault-injection scenario generator on its Sweeper hot path.
-//   - BenchmarkAttackOptimalUncached / BenchmarkAttackOptimalCached /
+//   - BenchmarkAttackOptimalUncached(K2) / BenchmarkAttackOptimalCached /
 //     BenchmarkRoundClean — the zero-alloc invariants (cached AND
 //     uncached plan search, steady-state rounds); bench-diff pins them
 //     and the batch kernel benchmarks to exactly 0 allocs/op.
@@ -310,7 +310,7 @@ func BenchmarkAttackOptimalUncached(b *testing.B) {
 	// of continuous-valued workloads, where contexts never repeat. The
 	// 0 allocs/op this reports is pinned by
 	// TestOptimalUncachedSearchZeroAllocs and the bench-diff gate.
-	base := attack.Context{
+	benchOptimalUncached(b, attack.Context{
 		N: 4, F: 1, Sent: 3,
 		OwnWidths: []float64{0.2},
 		Seen: []interval.Interval{
@@ -319,7 +319,26 @@ func BenchmarkAttackOptimalUncached(b *testing.B) {
 			interval.MustNew(9.2, 11.2),
 		},
 		Step: 0.1,
-	}
+	})
+}
+
+// BenchmarkAttackOptimalUncachedK2 is the same uncached search on the
+// shape that dominates the Table I campaign: two placements, active
+// mode, full knowledge, undecided centers on the witness path.
+func BenchmarkAttackOptimalUncachedK2(b *testing.B) {
+	benchOptimalUncached(b, attack.Context{
+		N: 5, F: 2, Sent: 3,
+		OwnWidths: []float64{0.5, 1},
+		Seen: []interval.Interval{
+			interval.MustNew(9.9, 10.1),
+			interval.MustNew(9.6, 10.6),
+			interval.MustNew(9.2, 11.2),
+		},
+		Step: 0.1,
+	})
+}
+
+func benchOptimalUncached(b *testing.B, base attack.Context) {
 	o := attack.NewOptimal()
 	o.MemoCap = 1
 	b.ReportAllocs()
@@ -328,11 +347,12 @@ func BenchmarkAttackOptimalUncached(b *testing.B) {
 		shift := float64(i%512+1) * 1e-4 // distinct after round6 quantization
 		ctx := base
 		ctx.Delta = interval.MustNew(9.9+shift, 10.1+shift)
-		if plan := o.Plan(ctx); len(plan) != 1 {
+		if plan := o.Plan(ctx); len(plan) != len(base.OwnWidths) {
 			b.Fatal("bad plan")
 		}
 	}
 }
+
 func BenchmarkAttackOptimalCached(b *testing.B) { benchStrategy(b, attack.NewOptimal()) }
 
 // --- Ablation: Table I grid step ----------------------------------------

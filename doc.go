@@ -43,9 +43,9 @@
 // with runtime-dispatched lane kernels (generic, and AVX2 assembly
 // selected by CPU detection; SENSORFUSION_KERNEL or
 // SetKernel overrides) vectorizing the hot k≤2 shapes — and a
-// plan search whose uncached path allocates nothing (arena-backed
-// memoization and witness precomputation). The cmd/repro subcommands
-// all take -parallel and -seed and inherit the same guarantee; campaign
+// plan search whose uncached path allocates and copies nothing (arena
+// memo, witness segments, winners rebuilt from their batch lane index).
+// The cmd/repro subcommands all take -parallel and -seed and inherit the same guarantee; campaign
 // and coordinate also take -cpuprofile/-memprofile (see `make
 // profile`).
 //

@@ -26,10 +26,12 @@ import (
 // allocation left, amortized to nothing over a sweep. The search itself
 // is batched: the unseen-completion worlds are enumerated once per
 // context into a flat arena and preloaded into incremental
-// interval.Sweepers, every stealthy candidate tuple is packed once into
-// an interval.Batch, and each world scores the whole batch in a single
-// branch-lean ScoreBatch pass — no per-candidate sorting, appending, or
-// allocation, and no per-(candidate, world) call overhead.
+// interval.Sweepers, every stealthy candidate tuple is packed once
+// straight into an interval.Batch by a row-wise odometer (the winner is
+// rebuilt from its lane's odometer index, never stored as a tuple), and
+// each world scores the whole batch in a single branch-lean ScoreBatch
+// pass — no per-candidate sorting, copying, or allocation, and no
+// per-(candidate, world) call overhead.
 //
 // An Optimal is not safe for concurrent use (the campaign engine builds
 // one per task); the zero value works but never caches — use NewOptimal.
@@ -54,17 +56,18 @@ type Optimal struct {
 	fallback   []interval.Interval
 	sets       [][]float64
 	setBuf     [][]float64
-	// Batched-search scratch: the stealthy tuples of one decision, both
-	// slot-ordered (tuples, the shape a plan must have) and
-	// endpoint-sorted (batch, the shape the kernel wants), plus the
-	// per-tuple score accumulators.
-	batch  interval.Batch
-	tuples []interval.Interval
-	idx    []int
-	sums   []float64
-	counts []int
-	widths []float64
-	oks    []bool
+	// Batched-search scratch: the stealthy tuples of one decision in the
+	// kernel's endpoint-sorted shape (batch), each lane's flat odometer
+	// index (lanes, which the winner is rebuilt from), the odometer (idx)
+	// and its row's undecided dimensions, and the score accumulators.
+	batch     interval.Batch
+	lanes     []int
+	idx       []int
+	undecided []int
+	sums      []float64
+	counts    []int
+	widths    []float64
+	oks       []bool
 	// Active-mode stealth classification (pruneActive): the OwnSent
 	// intervals still needing a per-tuple check with their precomputed
 	// pool skips, and the per-dimension decided flags for surviving
@@ -152,94 +155,93 @@ func (o *Optimal) plan(ctx Context) []interval.Interval {
 	}
 	placed := o.placed[:k]
 
-	// Enumerate the stealthy candidate tuples — in the lexicographic
-	// order the recursive search used (dimension 0 slowest), which the
-	// strict argmax below depends on — into the batch (endpoint-sorted,
-	// for the kernel) and the tuples arena (slot-ordered, the shape a
-	// plan must have).
+	// Enumerate the stealthy candidate tuples straight into the batch
+	// (endpoint-sorted, for the kernel), in the lexicographic order the
+	// strict argmax below depends on (dimension 0 slowest). No tuple is
+	// stored: each lane records its flat mixed-radix odometer index, and
+	// the winner is rebuilt from the candidate sets after the argmax.
 	o.batch.Reset(k)
-	o.tuples = o.tuples[:0]
-	// The fallback (when stealthy) rides the batch as lane 0, scored by
-	// the same kernel pass as the candidate tuples instead of a separate
-	// scalar expectedWidth call; the argmax below seeds its baseline from
-	// this lane and never selects it (ties keep the fallback, exactly like
-	// the old strict `s > bestScore` comparison against a prescored
-	// baseline).
+	// The fallback (when stealthy) rides the batch as lane 0 (index -1):
+	// the argmax seeds its baseline from it and never selects it, so ties
+	// keep the fallback, exactly like a strict `s > bestScore` update.
+	lanes := o.lanes[:0]
 	fallbackLane := 0
 	if ctx.StealthOK(fallback) {
 		fallbackLane = 1
 		o.batch.Add(fallback)
-		o.tuples = append(o.tuples, fallback...)
-	}
-	if cap(o.idx) < k {
-		o.idx = make([]int, k)
-	}
-	idx := o.idx[:k]
-	for d := range idx {
-		idx[d] = 0
+		lanes = append(lanes, -1)
 	}
 	nSeen := len(ctx.Seen)
+	pool := stealthPool{seen: ctx.Seen, placed: placed}
 	// With exactly two placements the only co-placement that can help an
 	// undecided center is the other dimension's interval, and pruneActive
 	// precomputed where that help suffices (witness segments); the
 	// per-tuple residual is then a couple of overlap compares.
 	fastWit := !passive && k == 2
-	for {
-		for d := 0; d < k; d++ {
+	// Row-wise odometer: idx steps dimensions 0..k-2, which stay fixed
+	// along a row, so their placements, which of them still owe a
+	// per-tuple check, and dimension 0's witness segments are resolved
+	// once per row; the inner loop sweeps the last dimension.
+	last := k - 1
+	lastCands, lastW := cands[last], ctx.OwnWidths[last]
+	o.idx = resizeInts(o.idx, last)
+	idx := o.idx
+	clear(idx)
+	for base := 0; ; base += len(lastCands) {
+		undecided := o.undecided[:0]
+		for d := 0; d < last; d++ {
 			w := ctx.OwnWidths[d]
 			cc := cands[d][idx[d]]
 			placed[d] = interval.Interval{Lo: cc - w/2, Hi: cc + w/2}
-		}
-		stealthy := true
-		if !passive {
-			// Residual active checks: only the undecided obligations,
-			// against the full pool, with skips resolved up front. The
-			// conjunction is exactly StealthOK's (the decided parts were
-			// proven per center by pruneActive).
-			pool := stealthPool{seen: ctx.Seen, placed: placed}
-			for si, a := range o.sentIvs {
-				skip := o.sentSkip[si]
-				if skip < 0 {
-					skip = pool.skipOf(a)
-				}
-				if !pool.windowReachesSkip(a, skip, need) {
-					stealthy = false
-					break
-				}
-			}
-			if stealthy {
-				for d := 0; d < k; d++ {
-					if o.decided[d][idx[d]] {
-						continue
-					}
-					if fastWit {
-						off := o.witOff[d]
-						other := placed[1-d]
-						hit := false
-						for _, s := range o.witArena[off[idx[d]]:off[idx[d]+1]] {
-							if s.Lo <= other.Hi && other.Lo <= s.Hi {
-								hit = true
-								break
-							}
-						}
-						if !hit {
-							stealthy = false
-							break
-						}
-						continue
-					}
-					if !pool.windowReachesSkip(placed[d], nSeen+d, need) {
-						stealthy = false
-						break
-					}
-				}
+			if !passive && !o.decided[d][idx[d]] {
+				undecided = append(undecided, d)
 			}
 		}
-		if stealthy {
+		o.undecided = undecided
+		var rowWit []interval.Interval
+		if fastWit && len(undecided) > 0 {
+			off := o.witOff[0]
+			rowWit = o.witArena[off[idx[0]]:off[idx[0]+1]]
+		}
+	tuples:
+		for j, cc := range lastCands {
+			placed[last] = interval.Interval{Lo: cc - lastW/2, Hi: cc + lastW/2}
+			if !passive {
+				// Residual active checks: only the undecided obligations,
+				// against the full pool, with skips resolved up front. The
+				// conjunction is exactly StealthOK's (the decided parts were
+				// proven per center by pruneActive).
+				for si, a := range o.sentIvs {
+					skip := o.sentSkip[si]
+					if skip < 0 {
+						skip = pool.skipOf(a)
+					}
+					if !pool.windowReachesSkip(a, skip, need) {
+						continue tuples
+					}
+				}
+				if fastWit {
+					if len(undecided) > 0 && !overlapsAny(rowWit, placed[1]) {
+						continue
+					}
+					if off := o.witOff[1]; !o.decided[1][j] && !overlapsAny(o.witArena[off[j]:off[j+1]], placed[0]) {
+						continue
+					}
+				} else {
+					for _, d := range undecided {
+						if !pool.windowReachesSkip(placed[d], nSeen+d, need) {
+							continue tuples
+						}
+					}
+					if !o.decided[last][j] && !pool.windowReachesSkip(placed[last], nSeen+last, need) {
+						continue
+					}
+				}
+			}
 			o.batch.Add(placed)
-			o.tuples = append(o.tuples, placed...)
+			lanes = append(lanes, base+j)
 		}
-		d := k - 1
+		d := last - 1
 		for d >= 0 {
 			idx[d]++
 			if idx[d] < len(cands[d]) {
@@ -252,6 +254,7 @@ func (o *Optimal) plan(ctx Context) []interval.Interval {
 			break
 		}
 	}
+	o.lanes = lanes
 	nb := o.batch.Len()
 	if nb == fallbackLane {
 		return fallback // no stealthy candidate tuple: nothing to score
@@ -269,10 +272,8 @@ func (o *Optimal) plan(ctx Context) []interval.Interval {
 		o.oks = make([]bool, nb)
 	}
 	oks := o.oks[:nb]
-	for i := 0; i < nb; i++ {
-		o.sums[i] = 0
-		o.counts[i] = 0
-	}
+	clear(o.sums)
+	clear(o.counts)
 	for w := range e.sweeps {
 		e.sweeps[w].ScoreBatch(&o.batch, e.f, o.widths, oks)
 		for i, ok := range oks {
@@ -304,7 +305,25 @@ func (o *Optimal) plan(ctx Context) []interval.Interval {
 	if bestIdx < 0 {
 		return fallback
 	}
-	return o.tuples[bestIdx*k : (bestIdx+1)*k]
+	// Rebuild the winner from its lane's odometer index, last dimension
+	// fastest, with the enumeration's own placement arithmetic.
+	flat := lanes[bestIdx]
+	for d := last; d >= 0; d-- {
+		w, cc := ctx.OwnWidths[d], cands[d][flat%len(cands[d])]
+		placed[d] = interval.Interval{Lo: cc - w/2, Hi: cc + w/2}
+		flat /= len(cands[d])
+	}
+	return placed
+}
+
+// overlapsAny reports whether iv shares a point with any of segs.
+func overlapsAny(segs []interval.Interval, iv interval.Interval) bool {
+	for _, s := range segs {
+		if s.Lo <= iv.Hi && iv.Lo <= s.Hi {
+			return true
+		}
+	}
+	return false
 }
 
 // resizeFloats returns buf with length n, reusing capacity.

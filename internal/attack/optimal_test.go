@@ -1,6 +1,8 @@
 package attack
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -139,8 +141,16 @@ func TestOptimalMemoHitZeroAllocs(t *testing.T) {
 // state of continuous-valued workloads, where contexts never repeat and
 // the memo stops absorbing work.
 func TestOptimalUncachedSearchZeroAllocs(t *testing.T) {
-	fixtures := []Context{
-		{ // active, full knowledge (no unseen worlds)
+	fixtures := []struct {
+		name string
+		ctx  Context
+		// path, when set, must be reached by the fixture's search:
+		// "witness" (k == 2 witness segments built for an undecided
+		// center) or "residual" (an OwnSent obligation left to the
+		// per-tuple check).
+		path string
+	}{
+		{name: "active, full knowledge (no unseen worlds)", ctx: Context{
 			N: 4, F: 1, Sent: 3,
 			OwnWidths: []float64{0.2},
 			Seen: []interval.Interval{
@@ -149,38 +159,67 @@ func TestOptimalUncachedSearchZeroAllocs(t *testing.T) {
 				interval.MustNew(9.2, 11.2),
 			},
 			Step: 0.1,
-		},
-		{ // passive, exact world enumeration over two unseen sensors
+		}},
+		{name: "passive, exact world enumeration over two unseen sensors", ctx: Context{
 			N: 3, F: 1, Sent: 0,
 			OwnWidths:    []float64{0.5},
 			UnseenWidths: []float64{0.2, 1},
 			Step:         0.1, MaxExact: 200, MCSamples: 50,
-		},
-		{ // passive, Monte Carlo fallback (MaxExact forces sampling)
+		}},
+		{name: "passive, Monte Carlo fallback (MaxExact forces sampling)", ctx: Context{
 			N: 3, F: 1, Sent: 0,
 			OwnWidths:    []float64{0.5},
 			UnseenWidths: []float64{0.2, 1},
 			Step:         0.1, MaxExact: 2, MCSamples: 50,
-		},
+		}},
+		{name: "k=2 active, full knowledge, witness path", path: "witness", ctx: Context{
+			N: 5, F: 2, Sent: 3,
+			OwnWidths: []float64{0.5, 1},
+			Seen: []interval.Interval{
+				interval.MustNew(9.9, 10.1),
+				interval.MustNew(9.6, 10.6),
+				interval.MustNew(9.2, 11.2),
+			},
+			Step: 0.1,
+		}},
+		{name: "k=2 active, full knowledge, OwnSent residual", path: "residual", ctx: Context{
+			N: 7, F: 3, Sent: 5,
+			OwnWidths: []float64{0.5, 1},
+			OwnSent:   []interval.Interval{interval.MustNew(10.4, 10.8)},
+			Seen: []interval.Interval{
+				interval.MustNew(10.4, 10.8),
+				interval.MustNew(9.9, 10.1),
+				interval.MustNew(9.6, 10.6),
+				interval.MustNew(9.2, 11.2),
+				interval.MustNew(9.8, 10.2),
+			},
+			Step: 0.1,
+		}},
 	}
-	for fi, base := range fixtures {
+	for _, fx := range fixtures {
 		o := NewOptimal()
 		o.MemoCap = 1 // one insert, then every call is a pure miss
 		iter := 0
 		run := func() {
 			iter++
 			shift := float64(iter%64+1) * 1e-3
-			c := base
+			c := fx.ctx
 			c.Delta = interval.MustNew(9.9+shift, 10.1+shift)
-			if plan := o.Plan(c); len(plan) != 1 {
-				t.Fatalf("fixture %d: bad plan %v", fi, plan)
+			if plan := o.Plan(c); len(plan) != len(c.OwnWidths) {
+				t.Fatalf("%s: bad plan %v", fx.name, plan)
 			}
 		}
 		for w := 0; w < 80; w++ {
 			run() // warm every scratch arena (and fill the capped memo)
 		}
 		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-			t.Fatalf("fixture %d: uncached Plan allocates %v per call, want 0", fi, allocs)
+			t.Fatalf("%s: uncached Plan allocates %v per call, want 0", fx.name, allocs)
+		}
+		switch {
+		case fx.path == "witness" && len(o.witArena) == 0:
+			t.Fatalf("%s: no witness segments built", fx.name)
+		case fx.path == "residual" && len(o.sentIvs) == 0:
+			t.Fatalf("%s: no OwnSent residual left to the per-tuple check", fx.name)
 		}
 	}
 }
@@ -371,4 +410,288 @@ func TestOptimalMonteCarloFallbackDeterministic(t *testing.T) {
 	if !p1[0].Equal(p2[0]) {
 		t.Fatalf("MC fallback nondeterministic: %v vs %v", p1, p2)
 	}
+}
+
+// referencePlan is the plan-search oracle: the same candidate grid
+// (candidateSets' output) walked recursively in lexicographic order,
+// every tuple materialized and filtered by referenceStealthOK, each
+// stealthy tuple scored by fusion.Fuse over every world in world order,
+// and a strict-`>` argmax seeded by the stealthy fallback. It shares
+// nothing with the search but the grid and the worlds. Besides the plan
+// it returns every stealthy tuple, in walk order.
+func referencePlan(c Context, maxTuples int) ([]interval.Interval, [][]interval.Interval) {
+	k := len(c.OwnWidths)
+	fallback := make([]interval.Interval, k)
+	for d, w := range c.OwnWidths {
+		fallback[d] = interval.MustCentered(c.Delta.Center(), w)
+	}
+	cands := (&Optimal{MaxTuples: maxTuples}).candidateSets(c)
+	if cands == nil {
+		return fallback, nil
+	}
+	var e evaluator
+	e.init(c)
+	score := func(plan []interval.Interval) float64 {
+		sum, count := 0.0, 0
+		for w := range e.sweeps {
+			all := append([]interval.Interval(nil), c.Seen...)
+			all = append(all, e.arena[w*e.stride:(w+1)*e.stride]...)
+			all = append(all, plan...)
+			if fused, err := fusion.Fuse(all, c.F); err == nil {
+				sum += fused.Width()
+				count++
+			}
+		}
+		if count == 0 {
+			return math.Inf(-1)
+		}
+		return sum / float64(count)
+	}
+	best, winner := math.Inf(-1), fallback
+	if referenceStealthOK(c, fallback) {
+		best = score(fallback)
+	}
+	var stealthy [][]interval.Interval
+	tuple := make([]interval.Interval, k)
+	var walk func(d int)
+	walk = func(d int) {
+		if d == k {
+			if !referenceStealthOK(c, tuple) {
+				return
+			}
+			stealthy = append(stealthy, append([]interval.Interval(nil), tuple...))
+			if s := score(tuple); s > best {
+				best, winner = s, stealthy[len(stealthy)-1]
+			}
+			return
+		}
+		w := c.OwnWidths[d]
+		for _, cc := range cands[d] {
+			tuple[d] = interval.Interval{Lo: cc - w/2, Hi: cc + w/2}
+			walk(d + 1)
+		}
+	}
+	walk(0)
+	return winner, stealthy
+}
+
+// planCase is one context of the plan-search differential grid.
+type planCase struct {
+	ctx       Context
+	maxTuples int
+	worlds    string // "full", "exact" or "mc"
+}
+
+// planGrid builds the differential grid: k in {1, 2, 3}, passive and
+// active, with and without an earlier broadcast of hers (OwnSent), full
+// knowledge, exact worlds and Monte Carlo worlds, and a MaxTuples roomy
+// enough to thin the candidate grid next to one tiny enough to
+// subsample it — two random contexts per combination.
+func planGrid(t *testing.T) []planCase {
+	t.Helper()
+	rng := rand.New(rand.NewSource(2014))
+	var grid []planCase
+	for k := 1; k <= 3; k++ {
+		for _, mode := range []Mode{Passive, Active} {
+			for _, worlds := range []string{"full", "exact", "mc"} {
+				if mode == Passive && worlds == "full" {
+					continue // passive always has unseen sensors
+				}
+				for _, ownSent := range []bool{false, true} {
+					for _, maxTuples := range []int{120, 3} {
+						for rep := 0; rep < 2; rep++ {
+							c := planFixture(rng, k, mode, worlds == "full", ownSent)
+							c.MaxExact, c.MCSamples = 1<<20, 12
+							if worlds == "mc" {
+								c.MaxExact = 2
+							}
+							if err := c.Validate(); err != nil {
+								t.Fatalf("fixture: %v", err)
+							}
+							if c.Mode() != mode {
+								t.Fatalf("fixture %+v: mode %v, want %v", c, c.Mode(), mode)
+							}
+							grid = append(grid, planCase{c, maxTuples, worlds})
+						}
+					}
+				}
+			}
+		}
+	}
+	return grid
+}
+
+// TestOptimalPlanMatchesReference is the differential gate of the plan
+// search: over planGrid, one shared Optimal (scratch reused across
+// decisions) must return exactly the reference plan, endpoint for
+// endpoint, bit for bit. The test also checks that the grid really
+// reached every path it claims to cover.
+func TestOptimalPlanMatchesReference(t *testing.T) {
+	o := NewOptimal()
+	hit := map[string]int{}
+	for _, pc := range planGrid(t) {
+		c := pc.ctx
+		o.MaxTuples = pc.maxTuples
+		got := o.Plan(c)
+		want, _ := referencePlan(c, pc.maxTuples)
+		if len(got) != len(want) {
+			t.Fatalf("ctx=%+v: plan %v, reference %v", c, got, want)
+		}
+		for d := range want {
+			if math.Float64bits(got[d].Lo) != math.Float64bits(want[d].Lo) ||
+				math.Float64bits(got[d].Hi) != math.Float64bits(want[d].Hi) {
+				t.Fatalf("ctx=%+v MaxTuples=%d: plan %v, reference %v", c, pc.maxTuples, got, want)
+			}
+		}
+		hit[pc.worlds]++
+		for _, path := range planPaths(c, pc.maxTuples) {
+			hit[path]++
+		}
+	}
+	t.Logf("paths reached: %v", hit)
+	for _, path := range []string{"full", "exact", "mc", "thin", "subsample", "residual", "undecided-k2", "undecided-k3"} {
+		if hit[path] == 0 {
+			t.Errorf("no fixture reached the %s path (hits: %v)", path, hit)
+		}
+	}
+}
+
+// TestOptimalLanesAreTheStealthyTuples pins the enumeration itself, not
+// just its winner: a non-stealthy tuple that never wins would slip past
+// the plan comparison. Over planGrid, the batch lanes the search packs
+// — after the stealthy fallback's -1 lane, each a flat index into the
+// search's (pruned) candidate sets — must decode to exactly the
+// reference's stealthy tuples, in walk order, bit for bit.
+func TestOptimalLanesAreTheStealthyTuples(t *testing.T) {
+	o := &Optimal{} // no memo: every call searches
+	for _, pc := range planGrid(t) {
+		c := pc.ctx
+		o.MaxTuples = pc.maxTuples
+		o.lanes = o.lanes[:0]
+		o.Plan(c)
+		_, want := referencePlan(c, pc.maxTuples)
+		lanes := o.lanes
+		if len(lanes) > 0 && lanes[0] == -1 {
+			lanes = lanes[1:]
+		}
+		if len(lanes) != len(want) {
+			t.Fatalf("ctx=%+v MaxTuples=%d: %d stealthy lanes, reference %d", c, pc.maxTuples, len(lanes), len(want))
+		}
+		for i, flat := range lanes {
+			for d := len(c.OwnWidths) - 1; d >= 0; d-- {
+				set := o.sets[d]
+				cc, w := set[flat%len(set)], c.OwnWidths[d]
+				flat /= len(set)
+				if got := (interval.Interval{Lo: cc - w/2, Hi: cc + w/2}); math.Float64bits(got.Lo) != math.Float64bits(want[i][d].Lo) ||
+					math.Float64bits(got.Hi) != math.Float64bits(want[i][d].Hi) {
+					t.Fatalf("ctx=%+v MaxTuples=%d: lane %d dimension %d = %v, reference %v", c, pc.maxTuples, i, d, got, want[i][d])
+				}
+			}
+		}
+	}
+}
+
+// planFixture builds a random valid context with k placements in the
+// given mode; full selects full knowledge (no unseen sensors), ownSent
+// makes Seen[0] one of her earlier broadcasts, pushed off-center so its
+// stealth obligation is often left to the per-tuple residual check.
+func planFixture(rng *rand.Rand, k int, mode Mode, full, ownSent bool) Context {
+	n := 2*k + 1 + rng.Intn(2)
+	if ownSent {
+		n = 2*k + 3 // f = k+1 leaves room for one earlier broadcast
+	}
+	f := (n+1)/2 - 1
+	var sent int
+	switch {
+	case full:
+		sent = n - k
+	case mode == Passive:
+		sent = rng.Intn(n - f - k)
+	default:
+		sent = n - f - k + rng.Intn(f)
+	}
+	if ownSent && sent == 0 {
+		sent = 1
+	}
+	c := Context{
+		N: n, F: f, Sent: sent,
+		Delta:     interval.MustCentered(float64(rng.Intn(3)), 0.5+0.5*float64(rng.Intn(3))),
+		OwnWidths: make([]float64, k),
+		Step:      0.5,
+	}
+	for d := range c.OwnWidths {
+		c.OwnWidths[d] = c.Delta.Width() + 0.5*float64(1+rng.Intn(6))
+	}
+	for s := 0; s < sent; s++ {
+		off := 0.5 * float64(rng.Intn(5)-2)
+		if ownSent && s == 0 {
+			off = 1.5 + 0.5*float64(rng.Intn(4))
+		}
+		c.Seen = append(c.Seen, interval.MustCentered(c.Delta.Center()+off, 1+0.5*float64(rng.Intn(6))))
+	}
+	if ownSent {
+		c.OwnSent = c.Seen[:1]
+	}
+	for u := 0; u < n-k-sent; u++ {
+		c.UnseenWidths = append(c.UnseenWidths, 0.5+0.5*float64(rng.Intn(2)))
+	}
+	return c
+}
+
+// planPaths names the search paths a context exercises beyond its world
+// kind: grid thinning or subsampling under maxTuples, an OwnSent
+// obligation left to the per-tuple residual, and a candidate center
+// whose own obligation stays undecided on Seen alone — for k == 2 the
+// witness path. It classifies from the context alone (unthinned grid,
+// coverage oracle), independent of the search's scratch.
+func planPaths(c Context, maxTuples int) []string {
+	var paths []string
+	total, coarse := 1, 1
+	for _, w := range c.OwnWidths {
+		total *= len(appendCandidateCenters(nil, c, w))
+		cc := c
+		cc.Step = c.step() * (1 << 12)
+		coarse *= len(appendCandidateCenters(nil, cc, w))
+	}
+	switch {
+	case coarse > maxTuples:
+		paths = append(paths, "subsample")
+	case total > maxTuples:
+		paths = append(paths, "thin")
+	}
+	k := len(c.OwnWidths)
+	need := c.N - c.F - 1
+	if c.Mode() != Active || need <= 0 {
+		return paths
+	}
+	// coverage is the seen-only coverage of window a, less a's own copy.
+	coverage := func(a interval.Interval) int {
+		var others []interval.Interval
+		skipped := false
+		for _, s := range c.Seen {
+			if !skipped && s.Equal(a) {
+				skipped = true
+				continue
+			}
+			others = append(others, s)
+		}
+		return interval.BuildCoverage(others).MaxCoverageOn(a)
+	}
+	for _, a := range c.OwnSent {
+		if cov := coverage(a); cov < need && cov >= need-k {
+			paths = append(paths, "residual")
+			break
+		}
+	}
+	if k < 2 {
+		return paths
+	}
+	for _, w := range c.OwnWidths {
+		for _, cc := range appendCandidateCenters(nil, c, w) {
+			if cov := coverage(interval.Interval{Lo: cc - w/2, Hi: cc + w/2}); cov < need && cov >= need-(k-1) {
+				return append(paths, fmt.Sprintf("undecided-k%d", k))
+			}
+		}
+	}
+	return paths
 }

@@ -13,7 +13,9 @@
 // of the old record, for paths whose zero-allocation property is a
 // documented invariant (the round engine, the attacker plan search). A
 // regexp that matches no benchmark fails too: a renamed benchmark must
-// not silently unarm the pin.
+// not silently unarm the pin. Records taken at different CPU counts
+// are not compared (a loud "*** SKIPPED ***" on stderr instead); the
+// zero-alloc pins still apply.
 //
 // Usage:
 //
@@ -193,6 +195,31 @@ func checkZeroAllocs(cur map[string]result, re *regexp.Regexp) []string {
 	return fails
 }
 
+// cpuCount returns the GOMAXPROCS a record was taken at: the testing
+// package appends "-N" to every benchmark name when GOMAXPROCS is N != 1
+// and nothing at 1, so N when all names end in the same "-N", else 1.
+func cpuCount(res map[string]result) int {
+	n := 0
+	for name := range res {
+		c, err := strconv.Atoi(name[strings.LastIndexByte(name, '-')+1:])
+		if err != nil || c < 2 || (n != 0 && c != n) {
+			return 1
+		}
+		n = c
+	}
+	return max(n, 1)
+}
+
+// cpuSkip returns the skip line when old and cur were recorded at
+// different CPU counts (names and timings do not compare), else "".
+func cpuSkip(oldPath string, old map[string]result, newPath string, cur map[string]result) string {
+	oc, nc := cpuCount(old), cpuCount(cur)
+	if oc == nc {
+		return ""
+	}
+	return fmt.Sprintf("benchdiff: *** SKIPPED *** %s was recorded at GOMAXPROCS %d, %s at GOMAXPROCS %d — the perf-regression gate DID NOT RUN (record both on the same CPU count to arm it)", oldPath, oc, newPath, nc)
+}
+
 func main() {
 	maxRatio := flag.Float64("max-ratio", 1.20, "fail when the geomean new/old ns/op ratio exceeds this")
 	pinZero := flag.String("pin-zero-allocs", "", "regexp of benchmarks that must report exactly 0 allocs/op in NEW.json")
@@ -216,21 +243,23 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	d := compare(old, cur)
-	if d.Compared == 0 {
+	failed := false
+	if skip := cpuSkip(oldPath, old, newPath, cur); skip != "" {
+		fmt.Fprintln(os.Stderr, skip)
+	} else if d := compare(old, cur); d.Compared == 0 {
 		fmt.Printf("benchdiff: %s vs %s: no common benchmarks; nothing to gate\n", oldPath, newPath)
 		return
-	}
-	fmt.Printf("benchdiff: %s -> %s: %d benchmarks, geomean ns/op ratio %.3f (gate %.2f)\n",
-		oldPath, newPath, d.Compared, d.Geomean, *maxRatio)
-	failed := false
-	if d.Geomean > *maxRatio {
-		fmt.Fprintf(os.Stderr, "benchdiff: REGRESSION: geomean ns/op ratio %.3f exceeds %.2f\n", d.Geomean, *maxRatio)
-		failed = true
-	}
-	for _, g := range d.AllocGrowth {
-		fmt.Fprintf(os.Stderr, "benchdiff: ALLOC GROWTH: %s\n", g)
-		failed = true
+	} else {
+		fmt.Printf("benchdiff: %s -> %s: %d benchmarks, geomean ns/op ratio %.3f (gate %.2f)\n",
+			oldPath, newPath, d.Compared, d.Geomean, *maxRatio)
+		if d.Geomean > *maxRatio {
+			fmt.Fprintf(os.Stderr, "benchdiff: REGRESSION: geomean ns/op ratio %.3f exceeds %.2f\n", d.Geomean, *maxRatio)
+			failed = true
+		}
+		for _, g := range d.AllocGrowth {
+			fmt.Fprintf(os.Stderr, "benchdiff: ALLOC GROWTH: %s\n", g)
+			failed = true
+		}
 	}
 	if *pinZero != "" {
 		re, err := regexp.Compile(*pinZero)

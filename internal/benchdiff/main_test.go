@@ -135,3 +135,44 @@ func TestCheckZeroAllocsPinsAndArms(t *testing.T) {
 		t.Fatalf("unmatched pin regexp did not fail: %v", f)
 	}
 }
+
+func TestCPUCountFromSuffix(t *testing.T) {
+	for _, tc := range []struct {
+		names []string
+		want  int
+	}{
+		{[]string{"BenchmarkA", "BenchmarkB/window=64"}, 1},
+		{[]string{"BenchmarkA-2", "BenchmarkB/window=64-2"}, 2},
+		{[]string{"BenchmarkA-8"}, 8},
+		{[]string{"BenchmarkA-2", "BenchmarkB"}, 1},   // mixed: not one suffix
+		{[]string{"BenchmarkA-2", "BenchmarkB-4"}, 1}, // -cpu 2,4 style
+		{nil, 1},
+	} {
+		res := map[string]result{}
+		for _, n := range tc.names {
+			res[n] = result{NsPerOp: 1}
+		}
+		if got := cpuCount(res); got != tc.want {
+			t.Errorf("cpuCount(%v) = %d, want %d", tc.names, got, tc.want)
+		}
+	}
+}
+
+// TestCPUSkipAcrossCPUCounts: a 1-CPU record and a 2-CPU one share no
+// benchmark names, so comparing them used to gate nothing and pass in
+// silence. The skip line must name both records and both counts, in the
+// Makefile's "*** SKIPPED ***" style, and records taken at the same
+// count must not be skipped.
+func TestCPUSkipAcrossCPUCounts(t *testing.T) {
+	one := parse(t, stream(`BenchmarkA \t 10 \t 100 ns/op \t 0 allocs/op`))
+	two := parse(t, stream(`BenchmarkA-2 \t 10 \t 900 ns/op \t 0 allocs/op`))
+	msg := cpuSkip("old.json", one, "new.json", two)
+	for _, want := range []string{"*** SKIPPED ***", "old.json", "GOMAXPROCS 1", "new.json", "GOMAXPROCS 2", "DID NOT RUN"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("skip line %q lacks %q", msg, want)
+		}
+	}
+	if msg := cpuSkip("a.json", two, "b.json", two); msg != "" {
+		t.Fatalf("same CPU count skipped: %q", msg)
+	}
+}
