@@ -13,7 +13,7 @@
 //	repro coordinate -state DIR [-workers N] [-shards M] [-resume] [-follow] [-deadline D] [-balance] [-partial] [-window W] [-k 0] [-step 1] [-seed 1] [-lengths L1,L2,...] [-format F] [-out FILE] [-compress] [-rotate SIZE] [-cpuprofile FILE] [-memprofile FILE]
 //	repro coordinate -state DIR -watch [-interval D]
 //	repro update -state DIR [spec flags: -k -step -seed -lengths] [-workers N] [-format F] [-out FILE]
-//	repro doctor [-state DIR] [-cache DIR] [-upgrade]
+//	repro doctor [-state DIR] [-cache DIR]
 //
 // table1 prints the schedule comparison (expected fusion interval length,
 // Ascending vs Descending) for the paper's eight configurations; table2
@@ -99,12 +99,10 @@
 // unchanged is a hit — and then replays the full new spec from the
 // cache into the sink, byte-identical to a from-scratch run of the
 // edited spec. doctor validates a state directory and/or result cache
-// (stale or foreign pid locks, torn manifests, version-1 manifests,
-// orphaned or corrupt shard files, stranded plain twins of compressed
-// shards, corrupt or unmeasured cache entries) and prints one
-// copy-pasteable fix command per finding, modifying nothing itself;
-// doctor -upgrade performs the one repair that needs the CLI,
-// rewriting a version-1 manifest at the current version.
+// (stale or foreign pid locks, torn manifests or manifests in an older
+// format, orphaned or corrupt shard files, corrupt cache entries) and
+// prints one copy-pasteable fix command per finding, modifying nothing
+// itself.
 package main
 
 import (
@@ -470,12 +468,10 @@ func usage() {
             coordinator (cache-shared), then replay the full new spec
             from the cache — byte-identical to a from-scratch run
   doctor    validate -state and/or -cache directories: stale/foreign
-            locks, torn manifests, v1 manifests (-upgrade rewrites
-            them), orphaned/corrupt shard files, stranded plain twins
-            of gzip shards, partial results awaiting -resume, stale
-            spill leftovers, corrupt or unmeasured cache
-            entries; one copy-pasteable fix command per finding,
-            nothing modified
+            locks, torn or older-format manifests, orphaned/corrupt
+            shard files, partial results awaiting -resume, stale spill
+            leftovers, corrupt cache entries; one copy-pasteable fix
+            command per finding, nothing modified
 
 large streams (campaign, merge, coordinate, update):
   -compress     gzip record output (-out gains .gz)
@@ -1152,28 +1148,15 @@ func runUpdate(args []string) error {
 
 // runDoctor validates a campaign state directory and/or result cache and
 // prints one copy-pasteable fix command per finding. It never modifies
-// anything itself except under -upgrade, which performs the one repair
-// that needs the CLI: rewriting a version-1 manifest at the current
-// version with explicit per-shard index sets.
+// anything itself.
 func runDoctor(args []string) error {
 	fs := flag.NewFlagSet("doctor", flag.ExitOnError)
 	state := fs.String("state", "", "campaign state directory to validate (lock, manifest, spec, shard files)")
 	cacheDir := fs.String("cache", "", "result cache directory to validate (defaults to STATE/cache when it exists)")
-	upgrade := fs.Bool("upgrade", false, "with -state: upgrade a version-1 manifest in place (the fix for the manifest-v1 finding), then exit")
 	fs.Int("parallel", 0, "accepted for uniformity; doctor is sequential")
 	fs.Int64("seed", 0, "accepted for uniformity; doctor draws no randomness")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *upgrade {
-		if *state == "" {
-			return fmt.Errorf("doctor: -upgrade needs -state DIR")
-		}
-		if err := coordinator.UpgradeManifest(*state); err != nil {
-			return err
-		}
-		fmt.Printf("doctor: upgraded manifest in %s to the current version\n", *state)
-		return nil
 	}
 	if *state == "" && *cacheDir == "" {
 		return fmt.Errorf("doctor: nothing to examine — pass -state DIR and/or -cache DIR")

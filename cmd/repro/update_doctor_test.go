@@ -38,17 +38,21 @@ func TestEtaLine(t *testing.T) {
 func TestWatchWarmingUpThroughBinary(t *testing.T) {
 	bin := buildRepro(t)
 	state := t.TempDir()
-	// A fresh manifest with costs but no completed shard: write it via a
-	// doctor -upgrade on nothing would fail, so fabricate through the
-	// real coordinator by running zero shards — simplest is a watch on a
-	// crashed-before-any-completion dir. Build one by hand from the v1
-	// fixture, whose manifest records no per-shard timings.
-	src := filepath.Join("..", "..", "internal", "coordinator", "testdata", "v1-state")
-	data, err := os.ReadFile(filepath.Join(src, "manifest.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(state, "manifest.json"), data, 0o644); err != nil {
+	// A manifest whose shards carry costs but none of which completed:
+	// no shard has a recorded wall time to calibrate from.
+	manifest := `{
+  "version": 3,
+  "params": "test-params",
+  "shards": 3,
+  "total": 8,
+  "shard_state": [
+    {"state": "pending", "attempts": 0, "records": 0, "indices": "0,3,6", "cost": 3},
+    {"state": "running", "attempts": 1, "records": 0, "indices": "1,4,7", "cost": 3},
+    {"state": "pending", "attempts": 0, "records": 0, "indices": "2,5", "cost": 2}
+  ]
+}
+`
+	if err := os.WriteFile(filepath.Join(state, "manifest.json"), []byte(manifest), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	out, err := exec.Command(bin, "coordinate", "-state", state, "-watch").CombinedOutput()

@@ -10,10 +10,9 @@
 // per-shard progress in a crash-safe JSON manifest written with the
 // cache's atomic temp+rename discipline. Shard record streams are
 // gzip-compressed at the source: the worker emits plain JSONL and the
-// coordinator compresses it on the way to disk (shard-NNNN.jsonl.gz),
-// with every read path — validation, resume, follow tailing, merge —
-// accepting both the compressed form and the plain files of
-// pre-compression state directories. Workers share one
+// coordinator compresses it on the way to disk (shard-NNNN.jsonl.gz).
+// A state directory written in an older format is refused, never
+// converted: start it afresh. Workers share one
 // content-addressed cache directory, so every configuration is
 // simulated at most once across all workers, retries, and coordinator
 // restarts. Stragglers are detected by a per-attempt deadline: the
@@ -282,7 +281,7 @@ func (o Options) validate() error {
 // planPartition cuts the global indices [0, total) into shards index
 // sets. Without costs it uses the modular residue classes (shard i owns
 // every k ≡ i mod shards) — equal counts, the layout manual sharding
-// and pre-cost manifests use. With costs it packs cost-BALANCED shards
+// uses. With costs it packs cost-BALANCED shards
 // by longest-processing-time-first: indices in descending cost order
 // each go to the currently lightest shard, so a handful of expensive
 // configurations spread across shards instead of clustering into the
@@ -600,7 +599,7 @@ func Coordinate(opts Options) (Result, error) {
 		// the campaign is.
 		paths := make([]string, opts.Shards)
 		for i := range paths {
-			paths[i] = existingShardFile(opts.StateDir, i)
+			paths[i] = shardFile(opts.StateDir, i)
 		}
 		spill := filepath.Join(opts.StateDir, "merge-spill")
 		var stats results.MergeStats
@@ -647,7 +646,7 @@ func (c *coord) finishPartial(checked *checkSink, failed []FailedShard, skipped,
 	var union, missing []int
 	for i := range c.man.Shard {
 		if c.man.Shard[i].State == shardDone {
-			paths = append(paths, existingShardFile(c.opts.StateDir, i))
+			paths = append(paths, shardFile(c.opts.StateDir, i))
 			union = append(union, c.indices[i]...)
 		} else {
 			missing = append(missing, c.indices[i]...)
@@ -707,8 +706,7 @@ func (c *coord) logCalibration(man *manifest) {
 // campaign are removed, never trusted, since without a manifest nothing
 // ties their content to this run's parameters. A fresh run also plans
 // its partition here — cost-balanced when Costs are given — while a
-// resumed run keeps the partition its manifest recorded, which is what
-// makes resume from pre-cost (version 1) manifests work unchanged.
+// resumed run keeps the partition its manifest recorded.
 func openManifest(opts Options) (*manifest, [][]int, error) {
 	man, err := loadManifest(opts.StateDir)
 	if err != nil {
@@ -732,7 +730,7 @@ func openManifest(opts Options) (*manifest, [][]int, error) {
 			}
 		}
 		man = newManifest(opts, partition)
-		for _, pattern := range []string{"shard-*.jsonl", "shard-*.jsonl.gz", "shard-*.log"} {
+		for _, pattern := range []string{"shard-*.jsonl.gz", "shard-*.log"} {
 			stale, _ := filepath.Glob(filepath.Join(opts.StateDir, pattern))
 			for _, path := range stale {
 				opts.FS.Remove(path)
@@ -762,13 +760,11 @@ func openManifest(opts Options) (*manifest, [][]int, error) {
 			if err := opts.FS.WriteFile(shardFile(opts.StateDir, i), emptyGzip(), 0o644); err != nil {
 				return nil, nil, fmt.Errorf("coordinator: %w", err)
 			}
-			opts.FS.Remove(legacyShardFile(opts.StateDir, i))
 			man.Shard[i].State = shardDone
 			man.Shard[i].Records = 0
 			continue
 		}
-		resolveMixedShardPair(opts.FS, opts.StateDir, i, indices[i])
-		n, err := validateShardFile(opts.FS, existingShardFile(opts.StateDir, i), indices[i])
+		n, err := validateShardFile(opts.FS, shardFile(opts.StateDir, i), indices[i])
 		if err == nil {
 			man.Shard[i].State = shardDone
 			man.Shard[i].Records = n
@@ -785,31 +781,6 @@ func openManifest(opts Options) (*manifest, [][]int, error) {
 		}
 	}
 	return man, indices, nil
-}
-
-// resolveMixedShardPair clears up a shard that has BOTH a compressed
-// and a plain record file — the leftover of a crash between writing the
-// .jsonl.gz and removing the superseded plain file (or of a
-// pre-compression coordinator's run that a newer one partially
-// upgraded). Whichever form validates against the expected index set is
-// kept and the other removed: a valid .gz supersedes the plain file, a
-// torn .gz yields to a valid plain file (so the already-computed
-// records are served instead of re-run). When neither validates, both
-// are left for the re-run path, which truncates them. Without this, the
-// read paths' gz-first preference could strand a stale plain twin
-// forever — or worse, hide a valid one behind a torn gz.
-func resolveMixedShardPair(fsys chaos.FS, stateDir string, i int, indices []int) {
-	gz, plain := shardFile(stateDir, i), legacyShardFile(stateDir, i)
-	if !fileExists(gz) || !fileExists(plain) {
-		return
-	}
-	if _, err := validateShardFile(fsys, gz, indices); err == nil {
-		fsys.Remove(plain)
-		return
-	}
-	if _, err := validateShardFile(fsys, plain, indices); err == nil {
-		fsys.Remove(gz)
-	}
 }
 
 func doneRecords(m *manifest) int {
@@ -918,7 +889,7 @@ func (c *coord) runShard(ctx context.Context, i int) {
 	// violation that the merged check re-reports, or a deadline fires
 	// just after the last record landed). If the expected records are
 	// on disk, the shard is done.
-	n, verr := validateShardFile(c.fsys, existingShardFile(c.opts.StateDir, i), c.indices[i])
+	n, verr := validateShardFile(c.fsys, shardFile(c.opts.StateDir, i), c.indices[i])
 
 	c.mu.Lock()
 	if c.fatal != nil {
@@ -1010,11 +981,6 @@ func (c *coord) attemptShard(ctx context.Context, i, attempt int) error {
 		actx, cancel = context.WithTimeout(ctx, c.opts.ShardTimeout)
 		defer cancel()
 	}
-	// A retry of a shard that a pre-compression coordinator left behind
-	// must not strand the stale plain file: every read path prefers the
-	// .gz name once it exists, but removing the leftover keeps the state
-	// directory unambiguous.
-	c.fsys.Remove(legacyShardFile(c.opts.StateDir, i))
 	out, err := c.fsys.OpenFile(shardFile(c.opts.StateDir, i), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err

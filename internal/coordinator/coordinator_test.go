@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -230,17 +229,51 @@ func TestCoordinateCleanRunMatchesSerial(t *testing.T) {
 }
 
 // TestCoordinateMoreShardsThanRecords: empty shards validate and merge.
+// TestCoordinateMoreShardsThanRecords: shards that own no index are
+// published empty and done, the merge equals the serial bytes, and a
+// resume reuses every shard without launching a worker — whichever
+// slots the empty shards land in.
 func TestCoordinateMoreShardsThanRecords(t *testing.T) {
-	const total, shards = 3, 5
-	opts := baseOptions(t, total, shards)
-	opts.Run = testWorker(total, nil, nil)
-	var buf bytes.Buffer
-	opts.Sink = results.NewJSONL(&buf)
-	if _, err := Coordinate(opts); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != serialBytes(t, total) {
-		t.Fatalf("merged output differs from serial reference")
+	for _, tc := range []struct {
+		name          string
+		total, shards int
+		costs         []float64
+	}{
+		// Modular: shards 3 and 4 are empty.
+		{name: "modular", total: 3, shards: 5},
+		// All-zero costs: LPT packs every index into shard 0, leaving
+		// shards 1 and 2 empty.
+		{name: "zero-costs", total: 4, shards: 3, costs: []float64{0, 0, 0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := baseOptions(t, tc.total, tc.shards)
+			opts.Costs = tc.costs
+			opts.Run = testWorker(tc.total, nil, nil)
+			var buf bytes.Buffer
+			opts.Sink = results.NewJSONL(&buf)
+			if _, err := Coordinate(opts); err != nil {
+				t.Fatal(err)
+			}
+			if buf.String() != serialBytes(t, tc.total) {
+				t.Fatalf("merged output differs from serial reference")
+			}
+
+			opts.Resume = true
+			opts.Run = func(ctx context.Context, task Task, out, logw io.Writer) error {
+				t.Errorf("shard %d relaunched on resume of a complete run", task.Index)
+				return nil
+			}
+			buf.Reset()
+			opts.Sink = results.NewJSONL(&buf)
+			res, err := Coordinate(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if buf.String() != serialBytes(t, tc.total) || res.SkippedShards != tc.shards {
+				t.Fatalf("resume of a complete run: skipped %d of %d shards, bytes equal %v",
+					res.SkippedShards, tc.shards, buf.String() == serialBytes(t, tc.total))
+			}
+		})
 	}
 }
 
@@ -711,72 +744,6 @@ func TestCoordinateCostBalancedBoundedMerge(t *testing.T) {
 	}
 }
 
-// TestCoordinateResumeFromV1Manifest is the fixture-based
-// backward-compatibility test: a state directory written by the
-// pre-cost coordinator (manifest version 1, no index sets, modular
-// shards, one shard unfinished) must resume transparently — only the
-// missing shard runs, the output is byte-identical to serial, and the
-// saved manifest is upgraded to version 2 with explicit index sets.
-func TestCoordinateResumeFromV1Manifest(t *testing.T) {
-	const total, shards = 8, 3
-	state := t.TempDir()
-	src := filepath.Join("testdata", "v1-state")
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(state, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	opts := baseOptions(t, total, shards)
-	opts.StateDir = state
-	opts.Resume = true
-	var launched []int
-	opts.Run = func(ctx context.Context, task Task, out, logw io.Writer) error {
-		launched = append(launched, task.Index)
-		// The synthesized modular index set for shard 2 of 3 over 8.
-		if want := []int{2, 5}; !reflect.DeepEqual(task.Indices, want) {
-			t.Errorf("shard %d got indices %v, want %v", task.Index, task.Indices, want)
-		}
-		return testWorker(total, nil, nil)(ctx, task, out, logw)
-	}
-	var buf bytes.Buffer
-	opts.Sink = results.NewJSONL(&buf)
-	res, err := Coordinate(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != serialBytes(t, total) {
-		t.Fatal("v1 resume output differs from serial reference")
-	}
-	if len(launched) != 1 || launched[0] != 2 {
-		t.Fatalf("v1 resume launched shards %v, want only the unfinished shard 2", launched)
-	}
-	if res.SkippedShards != 2 {
-		t.Fatalf("v1 resume skipped %d shards, want 2", res.SkippedShards)
-	}
-
-	man, err := loadManifest(state)
-	if err != nil || man == nil {
-		t.Fatalf("manifest: %v", err)
-	}
-	if man.Version != manifestVersion {
-		t.Fatalf("manifest still version %d after resume", man.Version)
-	}
-	for i, st := range man.Shard {
-		if st.Indices == "" {
-			t.Fatalf("upgraded manifest shard %d lacks an index set", i)
-		}
-	}
-}
-
 // TestReadStatus: the -watch view reads progress without the lock —
 // even while a (simulated) live coordinator holds it — and reports the
 // calibrated remaining-work estimate.
@@ -890,66 +857,4 @@ func modularIndices(i, shards, total int) []int {
 		out = append(out, k)
 	}
 	return out
-}
-
-// TestResumeReusesLegacyPlainShardFiles: a state directory whose done
-// shards were written uncompressed by a pre-compression coordinator
-// resumes without recomputing them — the read paths accept both
-// extensions — while the shard that does re-run publishes the new
-// compressed form alongside the legacy files of the others.
-func TestResumeReusesLegacyPlainShardFiles(t *testing.T) {
-	const total, shards = 9, 3
-	opts := baseOptions(t, total, shards)
-
-	// Fabricate the legacy layout by hand: a v2 manifest with all
-	// shards pending, plain .jsonl files for shards 0 and 1, nothing
-	// for shard 2.
-	writePlain := func(i int) {
-		var buf bytes.Buffer
-		sink := results.NewJSONL(&buf)
-		for _, k := range modularIndices(i, shards, total) {
-			if err := sink.Write(testRecord(k)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := os.WriteFile(legacyShardFile(opts.StateDir, i), buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writePlain(0)
-	writePlain(1)
-	man := newManifest(opts, planPartition(total, shards, nil))
-	man.init()
-	if err := man.save(chaos.OS, opts.StateDir); err != nil {
-		t.Fatal(err)
-	}
-
-	opts.Resume = true
-	var launched []int
-	opts.Run = func(ctx context.Context, task Task, out, logw io.Writer) error {
-		launched = append(launched, task.Index)
-		return testWorker(total, nil, nil)(ctx, task, out, logw)
-	}
-	var buf bytes.Buffer
-	opts.Sink = results.NewJSONL(&buf)
-	res, err := Coordinate(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != serialBytes(t, total) {
-		t.Fatal("legacy-mixed resume differs from serial bytes")
-	}
-	if len(launched) != 1 || launched[0] != 2 {
-		t.Fatalf("launched %v, want only the missing shard 2", launched)
-	}
-	if res.SkippedShards != 2 {
-		t.Fatalf("skipped %d shards, want the 2 legacy ones", res.SkippedShards)
-	}
-	// The re-run shard is compressed; the reused ones remain plain.
-	if !fileExists(shardFile(opts.StateDir, 2)) {
-		t.Fatal("re-run shard 2 missing its compressed file")
-	}
-	if !fileExists(legacyShardFile(opts.StateDir, 0)) || !fileExists(legacyShardFile(opts.StateDir, 1)) {
-		t.Fatal("legacy shard files were disturbed")
-	}
 }

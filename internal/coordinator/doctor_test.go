@@ -3,6 +3,8 @@ package coordinator
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -165,6 +167,69 @@ func TestDoctorTruncatedManifest(t *testing.T) {
 	wantClean(t, opts.StateDir)
 }
 
+// TestOlderManifestVersionRefused: a state directory whose manifest is
+// from an older format is refused by resume and by the -watch reader
+// with one error naming the file, doctor reports it as corrupt-manifest,
+// and running the printed fixes leaves a clean directory in which a
+// fresh campaign starts.
+func TestOlderManifestVersionRefused(t *testing.T) {
+	opts := completedState(t, 6, 2)
+	manPath := manifestPath(opts.StateDir)
+	data, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["version"] = 2
+	if data, err = json.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantRefusal := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), manPath) || !strings.Contains(err.Error(), "older format; start fresh") {
+			t.Fatalf("%s on a version-2 manifest: %v", what, err)
+		}
+	}
+	opts.Resume = true
+	opts.Run = func(ctx context.Context, task Task, out, logw io.Writer) error {
+		t.Errorf("shard %d launched against an older-format manifest", task.Index)
+		return nil
+	}
+	_, err = Coordinate(opts)
+	wantRefusal("resume", err)
+	_, err = ReadStatus(opts.StateDir)
+	wantRefusal("ReadStatus", err)
+
+	findings, err := DoctorState(opts.StateDir, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"corrupt-manifest", "unverifiable-shard", "unverifiable-shard"}
+	if got := doctorCodes(findings); !reflect.DeepEqual(got, want) {
+		t.Fatalf("findings %v, want %v", got, want)
+	}
+	wantRefusal("doctor", errors.New(findings[0].Detail))
+	applyFixes(t, findings)
+	wantClean(t, opts.StateDir)
+
+	opts.Resume = false
+	opts.Run = testWorker(6, nil, nil)
+	var buf bytes.Buffer
+	opts.Sink = results.NewJSONL(&buf)
+	if _, err := Coordinate(opts); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != serialBytes(t, 6) {
+		t.Fatal("fresh run after the fixes differs from serial")
+	}
+}
+
 func TestDoctorOrphanedShard(t *testing.T) {
 	opts := completedState(t, 6, 2)
 	orphan := shardFile(opts.StateDir, 7) // slot 7 of a 2-shard layout
@@ -205,115 +270,6 @@ func TestDoctorCorruptDoneShard(t *testing.T) {
 	}
 	applyFixes(t, findings)
 	wantClean(t, opts.StateDir)
-}
-
-// plainRecords encodes records as one uncompressed JSONL stream — the
-// legacy shard file form.
-func plainRecords(t *testing.T, ks ...int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	sink := results.NewJSONL(&buf)
-	for _, k := range ks {
-		if err := sink.Write(testRecord(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
-}
-
-// TestDoctorMixedShardPair: a crash between publishing shard.jsonl.gz
-// and deleting the superseded plain file leaves a mixed-extension pair.
-// Doctor names the loser: the stale plain twin of a valid gzip, or the
-// torn gzip hiding a valid plain file.
-func TestDoctorMixedShardPair(t *testing.T) {
-	t.Run("superseded-plain", func(t *testing.T) {
-		opts := completedState(t, 6, 2)
-		// Shard 0 owns {0,2,4}; a stale plain file with the WRONG records
-		// next to the valid gz.
-		plain := legacyShardFile(opts.StateDir, 0)
-		if err := os.WriteFile(plain, plainRecords(t, 0, 2), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		findings, err := DoctorState(opts.StateDir, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(findings) != 1 || findings[0].Code != "superseded-plain" || findings[0].Path != plain {
-			t.Fatalf("want one superseded-plain on %s, got %+v", plain, findings)
-		}
-		applyFixes(t, findings)
-		wantClean(t, opts.StateDir)
-	})
-	t.Run("torn-gzip", func(t *testing.T) {
-		opts := completedState(t, 6, 2)
-		gz := shardFile(opts.StateDir, 0)
-		data, err := os.ReadFile(gz)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(gz, data[:len(data)-4], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(legacyShardFile(opts.StateDir, 0), plainRecords(t, 0, 2, 4), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		findings, err := DoctorState(opts.StateDir, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(findings) != 1 || findings[0].Code != "torn-gzip" || findings[0].Path != gz {
-			t.Fatalf("want one torn-gzip on %s, got %+v", gz, findings)
-		}
-		applyFixes(t, findings)
-		wantClean(t, opts.StateDir)
-	})
-}
-
-// TestDoctorV1Manifest: a pre-cost-balancing state dir draws the
-// manifest-v1 finding whose fix is the doctor's own -upgrade verb, and
-// running the upgrade (what that verb calls) clears it.
-func TestDoctorV1Manifest(t *testing.T) {
-	state := t.TempDir()
-	src := filepath.Join("testdata", "v1-state")
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(state, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	findings, err := DoctorState(state, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 1 || findings[0].Code != "manifest-v1" {
-		t.Fatalf("want one manifest-v1, got %+v", findings)
-	}
-	if want := fmt.Sprintf("repro doctor -state %s -upgrade", state); findings[0].Fix != want {
-		t.Fatalf("manifest-v1 fix = %q, want %q", findings[0].Fix, want)
-	}
-	if err := UpgradeManifest(state); err != nil {
-		t.Fatal(err)
-	}
-	wantClean(t, state)
-	man, err := loadManifest(state)
-	if err != nil || man == nil {
-		t.Fatalf("manifest after upgrade: %v", err)
-	}
-	if man.Version != manifestVersion {
-		t.Fatalf("upgrade left version %d", man.Version)
-	}
-	for i, st := range man.Shard {
-		if st.Indices == "" {
-			t.Fatalf("upgraded shard %d lacks an explicit index set", i)
-		}
-	}
 }
 
 func TestDoctorSpec(t *testing.T) {
@@ -486,127 +442,75 @@ func TestAcquireLockRecordsIdentityAndHonorsLegacy(t *testing.T) {
 
 // --- Mixed-pair resolution on resume ------------------------------------
 
-// TestResumeResolvesMixedShardPair: resume must deal with a crash that
-// strands BOTH shard file forms, keeping whichever validates — without
-// relaunching the shard's worker.
-func TestResumeResolvesMixedShardPair(t *testing.T) {
-	t.Run("stale-plain-removed", func(t *testing.T) {
-		opts := completedState(t, 6, 2)
-		plain := legacyShardFile(opts.StateDir, 0)
-		if err := os.WriteFile(plain, plainRecords(t, 0, 2), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		opts.Resume = true
-		var launched []int
-		opts.Run = func(ctx context.Context, task Task, out, logw io.Writer) error {
-			launched = append(launched, task.Index)
-			return testWorker(6, nil, nil)(ctx, task, out, logw)
-		}
-		var buf bytes.Buffer
-		opts.Sink = results.NewJSONL(&buf)
-		if _, err := Coordinate(opts); err != nil {
-			t.Fatal(err)
-		}
-		if buf.String() != serialBytes(t, 6) {
-			t.Fatal("resume with stranded plain twin broke the merged bytes")
-		}
-		if len(launched) != 0 {
-			t.Fatalf("resume relaunched shards %v despite a valid gz", launched)
-		}
-		if fileExists(plain) {
-			t.Fatal("superseded plain shard file survived resume")
-		}
-	})
-	t.Run("valid-plain-beats-torn-gz", func(t *testing.T) {
-		opts := completedState(t, 6, 2)
-		gz := shardFile(opts.StateDir, 0)
-		data, err := os.ReadFile(gz)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(gz, data[:len(data)-4], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(legacyShardFile(opts.StateDir, 0), plainRecords(t, 0, 2, 4), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		opts.Resume = true
-		var launched []int
-		opts.Run = func(ctx context.Context, task Task, out, logw io.Writer) error {
-			launched = append(launched, task.Index)
-			return testWorker(6, nil, nil)(ctx, task, out, logw)
-		}
-		var buf bytes.Buffer
-		opts.Sink = results.NewJSONL(&buf)
-		if _, err := Coordinate(opts); err != nil {
-			t.Fatal(err)
-		}
-		if buf.String() != serialBytes(t, 6) {
-			t.Fatal("resume with torn gz broke the merged bytes")
-		}
-		if len(launched) != 0 {
-			t.Fatalf("resume relaunched shards %v despite a valid plain file", launched)
-		}
-		if fileExists(gz) {
-			t.Fatal("torn gz survived resume next to its valid plain form")
-		}
-	})
-}
-
 // --- Sparse universe runs -----------------------------------------------
 
 // TestCoordinateSparseUniverse: a run over an explicit global index set
 // (what `update` dispatches) shards and merges those indices only, in
 // universe order, with records keeping their global indices.
 func TestCoordinateSparseUniverse(t *testing.T) {
-	universe := []int{2, 5, 9, 14}
-	opts := baseOptions(t, len(universe), 2)
-	opts.Universe = universe
-	opts.Run = testWorker(20, nil, nil)
-	var buf bytes.Buffer
-	opts.Sink = results.NewJSONL(&buf)
-	res, err := Coordinate(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	sink := results.NewJSONL(&want)
-	for _, k := range universe {
-		if err := sink.Write(testRecord(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if buf.String() != want.String() {
-		t.Fatalf("sparse merge = %q, want %q", buf.String(), want.String())
-	}
-	if res.Records != len(universe) {
-		t.Fatalf("records = %d, want %d", res.Records, len(universe))
-	}
+	for _, tc := range []struct {
+		name     string
+		universe []int
+		shards   int
+	}{
+		{"2-shards", []int{2, 5, 9, 14}, 2},
+		// More shards than indices: shards 2 and 3 own nothing, and their
+		// empty index sets must read back as empty.
+		{"more-shards-than-indices", []int{2, 5}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			universe := tc.universe
+			opts := baseOptions(t, len(universe), tc.shards)
+			opts.Universe = universe
+			opts.Run = testWorker(20, nil, nil)
+			var buf bytes.Buffer
+			opts.Sink = results.NewJSONL(&buf)
+			res, err := Coordinate(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			sink := results.NewJSONL(&want)
+			for _, k := range universe {
+				if err := sink.Write(testRecord(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if buf.String() != want.String() {
+				t.Fatalf("sparse merge = %q, want %q", buf.String(), want.String())
+			}
+			if res.Records != len(universe) {
+				t.Fatalf("records = %d, want %d", res.Records, len(universe))
+			}
 
-	// Resume over the same universe relaunches nothing and reproduces
-	// the bytes; the manifest round-trips the universe.
-	opts.Resume = true
-	var launched []int
-	opts.Run = func(ctx context.Context, task Task, out, logw io.Writer) error {
-		launched = append(launched, task.Index)
-		return testWorker(20, nil, nil)(ctx, task, out, logw)
-	}
-	buf.Reset()
-	opts.Sink = results.NewJSONL(&buf)
-	if _, err := Coordinate(opts); err != nil {
-		t.Fatal(err)
-	}
-	if len(launched) != 0 {
-		t.Fatalf("sparse resume relaunched %v", launched)
-	}
-	if buf.String() != want.String() {
-		t.Fatal("sparse resume bytes differ")
-	}
+			// Resume over the same universe relaunches nothing and
+			// reproduces the bytes; the manifest round-trips the universe.
+			opts.Resume = true
+			var launched []int
+			opts.Run = func(ctx context.Context, task Task, out, logw io.Writer) error {
+				launched = append(launched, task.Index)
+				return testWorker(20, nil, nil)(ctx, task, out, logw)
+			}
+			buf.Reset()
+			opts.Sink = results.NewJSONL(&buf)
+			if _, err := Coordinate(opts); err != nil {
+				t.Fatal(err)
+			}
+			if len(launched) != 0 {
+				t.Fatalf("sparse resume relaunched %v", launched)
+			}
+			if buf.String() != want.String() {
+				t.Fatal("sparse resume bytes differ")
+			}
 
-	// A resume under a DIFFERENT universe is a different campaign.
-	opts.Universe = []int{2, 5, 9, 15}
-	if _, err := Coordinate(opts); err == nil || !strings.Contains(err.Error(), "covers index set") {
-		t.Fatalf("universe change not refused on resume: %v", err)
+			// A resume under a DIFFERENT universe is a different campaign.
+			changed := append([]int(nil), universe...)
+			changed[len(changed)-1]++
+			opts.Universe = changed
+			if _, err := Coordinate(opts); err == nil || !strings.Contains(err.Error(), "covers index set") {
+				t.Fatalf("universe change not refused on resume: %v", err)
+			}
+		})
 	}
 }
 

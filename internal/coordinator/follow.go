@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -118,83 +117,25 @@ func (c *coord) tail(ctx context.Context) {
 	}
 }
 
-// tailShard reads shard i's newly appended records. Compressed shards
-// (the canonical form since workers gzip at the source) are re-read
-// whole whenever the file grows: the coordinator's flush-per-write
-// keeps complete deflate blocks on disk, so the prefix of a live gzip
-// stream decompresses up to the growth point, and the follower's
-// deduplication makes whole-file re-reads idempotent. Plain shards
-// (pre-compression state dirs) keep the byte-offset incremental path.
-// Transient anomalies (file missing, shrunk, torn line, mid-truncate
-// garbage, a not-yet-complete gzip header) rewind instead of erroring;
-// only a follower rejection — a genuine content conflict or sink
-// failure — is fatal.
+// tailShard feeds the decodable prefix of shard i's growing gzip
+// stream to the follower. The coordinator's flush-per-write keeps
+// complete deflate blocks on disk, so the prefix of a live shard
+// decompresses up to the growth point. A gzip stream cannot be resumed
+// mid-flate, so every read restarts decompression from byte 0; to keep
+// the total tailing cost linear instead of quadratic in the shard size,
+// *offset tracks the compressed size at the last full read and the
+// shard is only re-read once it has grown by 10% since then. Young
+// shards re-read cheaply on almost every tick (10% of small is small),
+// large shards amortize to O(size) total decompression over their
+// lifetime, and the follower's final drainAll delivers whatever the
+// last tick's threshold deferred. Transient anomalies (file missing or
+// shrunk by a retry's truncation, a not-yet-complete gzip header, a
+// torn tail record) end the read quietly; the next qualifying tick
+// retries from the top and the follower deduplicates everything already
+// delivered. Only a follower rejection — a genuine content conflict or
+// sink failure — is fatal.
 func (c *coord) tailShard(i int, offset *int64) error {
-	path := existingShardFile(c.opts.StateDir, i)
-	if strings.HasSuffix(path, ".gz") {
-		return c.tailShardGzip(path, offset)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil // not created yet
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil
-	}
-	size := info.Size()
-	if size < *offset {
-		*offset = 0 // truncated for a retry; re-read from the top
-	}
-	if size == *offset {
-		return nil
-	}
-	buf := make([]byte, size-*offset)
-	if _, err := f.ReadAt(buf, *offset); err != nil {
-		return nil
-	}
-	end := bytes.LastIndexByte(buf, '\n')
-	if end < 0 {
-		return nil // no complete line yet
-	}
-	chunk := buf[:end+1]
-	for len(chunk) > 0 {
-		nl := bytes.IndexByte(chunk, '\n')
-		line := bytes.TrimSpace(chunk[:nl])
-		chunk = chunk[nl+1:]
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := results.ParseRecord(line)
-		if err != nil {
-			// Caught a retry truncation mid-read; rewind and let the
-			// next tick see a consistent file.
-			*offset = 0
-			return nil
-		}
-		if err := c.fol.add(rec); err != nil {
-			return err
-		}
-	}
-	*offset += int64(end + 1)
-	return nil
-}
-
-// tailShardGzip feeds the decodable prefix of a growing compressed
-// shard to the follower. A gzip stream cannot be resumed mid-flate, so
-// every read restarts decompression from byte 0; to keep the total
-// tailing cost linear instead of quadratic in the shard size, *offset
-// tracks the compressed size at the last full read and the shard is
-// only re-read once it has grown by 10% since then. Young shards
-// re-read cheaply on almost every tick (10% of small is small), large
-// shards amortize to O(size) total decompression over their lifetime,
-// and the follower's final drainAll delivers whatever the last tick's
-// threshold deferred. Decode errors mean "the tail is still being
-// written" and end the read quietly; the next qualifying tick retries
-// from the top and the follower deduplicates everything already
-// delivered.
-func (c *coord) tailShardGzip(path string, offset *int64) error {
+	path := shardFile(c.opts.StateDir, i)
 	info, err := os.Stat(path)
 	if err != nil {
 		return nil // not created yet
@@ -242,7 +183,7 @@ func (c *coord) tailShardGzip(path string, offset *int64) error {
 // record at a time plus the follower's contiguous-prefix buffer.
 func (c *coord) drainAll() error {
 	for i := 0; i < c.opts.Shards; i++ {
-		rd, err := results.NewFileReader(c.fsys, existingShardFile(c.opts.StateDir, i))
+		rd, err := results.NewFileReader(c.fsys, shardFile(c.opts.StateDir, i))
 		if err != nil {
 			return err
 		}

@@ -33,13 +33,11 @@ const (
 // manifestName is the manifest's file name inside the state directory.
 const manifestName = "manifest.json"
 
-// manifestVersion guards the on-disk format. Version 2 added the
-// per-shard index set, cost estimate, and wall-time fields; version 1
-// manifests (whose shards are implicitly the modular residue classes)
-// are still readable — loadManifest upgrades them in memory and the
-// next save persists version 2 — so a state directory from before the
-// cost-balancing rework resumes transparently.
-const manifestVersion = 2
+// manifestVersion guards the on-disk format. Version 3 is the one
+// format of the whole state directory: explicit per-shard index sets in
+// the manifest and gzip shard files. loadManifest refuses every other
+// version; such a directory has to be started afresh.
+const manifestVersion = 3
 
 // shardState is one shard's progress entry.
 type shardState struct {
@@ -51,9 +49,8 @@ type shardState struct {
 	// Records is the validated record count of a done shard.
 	Records int `json:"records"`
 	// Indices is the shard's global index set in the compact range form
-	// of experiments.FormatIndexSet ("0-5,9"). Empty in version 1
-	// manifests, whose shards are the modular residue classes
-	// {k : k ≡ i (mod Shards)}.
+	// of experiments.FormatIndexSet ("0-5,9"); empty means the shard owns
+	// no index (more shards than records).
 	Indices string `json:"indices,omitempty"`
 	// Cost is the shard's estimated cost in the cost model's abstract
 	// units (0 when the run was not cost-balanced).
@@ -96,33 +93,10 @@ type manifest struct {
 
 func manifestPath(stateDir string) string { return filepath.Join(stateDir, manifestName) }
 
-// shardFile names shard i's record stream inside the state directory.
-// Workers have written gzip-compressed shard streams since the
-// compressed-shard rework, so the canonical name is shard-NNNN.jsonl.gz;
-// state directories written by earlier versions hold plain .jsonl files,
-// which every read path still accepts via existingShardFile.
+// shardFile names shard i's gzip-compressed record stream inside the
+// state directory.
 func shardFile(stateDir string, i int) string {
 	return filepath.Join(stateDir, fmt.Sprintf("shard-%04d.jsonl.gz", i))
-}
-
-// legacyShardFile names the uncompressed form older coordinators wrote.
-func legacyShardFile(stateDir string, i int) string {
-	return filepath.Join(stateDir, fmt.Sprintf("shard-%04d.jsonl", i))
-}
-
-// existingShardFile resolves the shard file actually on disk: the
-// compressed canonical name when present, else a pre-compression plain
-// file (the resume-compatibility path), else the canonical name for a
-// file about to be created.
-func existingShardFile(stateDir string, i int) string {
-	gz := shardFile(stateDir, i)
-	if _, err := os.Stat(gz); err == nil {
-		return gz
-	}
-	if plain := legacyShardFile(stateDir, i); fileExists(plain) {
-		return plain
-	}
-	return gz
 }
 
 func fileExists(path string) bool {
@@ -191,8 +165,9 @@ func loadManifest(stateDir string) (*manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("coordinator: corrupt manifest %s: %w", manifestPath(stateDir), err)
 	}
-	if m.Version != manifestVersion && m.Version != 1 {
-		return nil, fmt.Errorf("coordinator: manifest version %d, want %d", m.Version, manifestVersion)
+	if m.Version != manifestVersion {
+		return nil, fmt.Errorf("coordinator: manifest %s is version %d, want %d: state from an older format; start fresh",
+			manifestPath(stateDir), m.Version, manifestVersion)
 	}
 	return &m, nil
 }
@@ -223,14 +198,9 @@ func (m *manifest) universeIndices() ([]int, error) {
 	return universe, nil
 }
 
-// shardIndices resolves every shard's global index set: the explicit
-// sets a version 2 manifest stores, or — for version 1 manifests and
-// entries written before cost balancing — the modular residue class
-// {k : k ≡ i (mod Shards)}. The resolved sets are written back to the
-// entries (upgrading the manifest in memory; the next save persists
-// version 2) and validated to exactly partition the universe —
-// [0, Total) for a full campaign, the manifest's sparse index set for
-// an incremental one.
+// shardIndices parses every shard's global index set and validates
+// that the sets exactly partition the universe — [0, Total) for a full
+// campaign, the manifest's sparse index set for an incremental one.
 func (m *manifest) shardIndices() ([][]int, error) {
 	universe, err := m.universeIndices()
 	if err != nil {
@@ -254,19 +224,6 @@ func (m *manifest) shardIndices() ([][]int, error) {
 			if err != nil {
 				return nil, fmt.Errorf("coordinator: manifest shard %d: %w", i, err)
 			}
-		} else {
-			if universe != nil {
-				// The modular fallback reconstructs residue classes of
-				// [0, Total); a sparse manifest predates nothing — it must
-				// carry its explicit sets.
-				return nil, fmt.Errorf("coordinator: manifest shard %d has no index set but the manifest declares a sparse universe", i)
-			}
-			for k := i; k < m.Total; k += m.Shards {
-				indices = append(indices, k)
-			}
-			if len(indices) > 0 {
-				m.Shard[i].Indices = experiments.FormatIndexSet(indices)
-			}
 		}
 		for _, k := range indices {
 			pos := k
@@ -288,7 +245,6 @@ func (m *manifest) shardIndices() ([][]int, error) {
 	if covered != m.Total {
 		return nil, fmt.Errorf("coordinator: manifest shards cover %d of %d records", covered, m.Total)
 	}
-	m.Version = manifestVersion
 	return out, nil
 }
 
@@ -337,22 +293,24 @@ func (m *manifest) compatible(o Options) error {
 // lockName guards a state directory against two live coordinators. The
 // file records the owner's identity as pid, hostname, and process start
 // time (one per line); a lock whose identified process no longer runs
-// is stale (the previous coordinator was SIGKILLed) and is stolen.
-// Legacy locks holding only a pid are still honored — with pid-only
-// liveness, which is the best a legacy lock allows.
+// is stale (the previous coordinator was SIGKILLed) and is stolen. A
+// host without process start times (anything but Linux) writes an empty
+// start field, and one whose hostname is unreadable an empty host
+// field; such a lock, like a one-line pid-only lock, is judged on pid
+// liveness alone.
 const lockName = "coordinator.lock"
 
 // lockOwner is the parsed identity a lock file records.
 type lockOwner struct {
 	Pid int
-	// Host is the owner's hostname ("" in legacy pid-only locks). A
-	// lock from another host is never judged for liveness — pids are
-	// per-machine — and never stolen.
+	// Host is the owner's hostname ("" when the owner could not read
+	// it). A lock from another host is never judged for liveness — pids
+	// are per-machine — and never stolen.
 	Host string
 	// Start is the owner process's start-time token (pidStartTime; ""
-	// in legacy locks or on platforms without one). It is what makes
-	// pid reuse detectable: a live process with the lock's pid but a
-	// different start time is NOT the owner.
+	// on platforms without one). It is what makes pid reuse detectable:
+	// a live process with the lock's pid but a different start time is
+	// NOT the owner.
 	Start string
 }
 

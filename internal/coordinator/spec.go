@@ -66,8 +66,7 @@ func SaveSpec(stateDir string, params string, digests []string) error {
 }
 
 // LoadSpec reads a state directory's spec manifest, reporting
-// (nil, nil) when none exists — a campaign that predates incremental
-// update, or one that never completed.
+// (nil, nil) when none exists — a campaign that never completed.
 func LoadSpec(stateDir string) (*SpecManifest, error) {
 	data, err := os.ReadFile(SpecPath(stateDir))
 	if errors.Is(err, fs.ErrNotExist) {

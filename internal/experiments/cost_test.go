@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -189,6 +190,33 @@ func TestMeasuredCostRoundTrip(t *testing.T) {
 	// Without a cache there is nothing to read.
 	if _, ok, err := MeasuredCost(cfg, Table1Options{}); err != nil || ok {
 		t.Fatalf("cacheless MeasuredCost: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestDigestlessCacheEntryRefused: an entry without a self-digest is
+// misplaced or corrupt like one with a wrong digest — Table1Run refuses
+// to replay it and points at the doctor, and MeasuredCost ignores its
+// timing.
+func TestDigestlessCacheEntryRefused(t *testing.T) {
+	store, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Table1Options{MaxExact: 100, MCSamples: 30, Parallel: 1, Cache: store}
+	cfg := Table1Config{Name: "t", Widths: []float64{5, 8, 11}, Fa: 1}
+	row, err := Table1Run(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := opts.withDefaults().digest(cfg)
+	if err := store.Put(key, table1Entry{Table1Row: row, ElapsedNS: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Table1Run(cfg, opts); err == nil || !strings.Contains(err.Error(), "repro doctor -cache "+store.Dir()) {
+		t.Fatalf("digest-less entry replayed: %v", err)
+	}
+	if _, ok, err := MeasuredCost(cfg, opts); err != nil || ok {
+		t.Fatalf("digest-less entry measured: ok=%v err=%v", ok, err)
 	}
 }
 

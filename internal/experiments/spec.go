@@ -100,12 +100,9 @@ func DiffSpecs(old, cur []string) SpecDiff {
 type CacheEntryStatus struct {
 	// Key is the entry's cache key (its file name stem).
 	Key string
-	// Measured reports whether the entry carries a positive wall time —
-	// entries that predate measured-cost feedback read false and starve
-	// the coordinator's calibrated cost model.
-	Measured bool
 	// Err is non-nil for an entry that must not be replayed: unparseable
-	// JSON, or a self-digest disagreeing with the key it is stored under.
+	// JSON, or a self-digest missing or disagreeing with the key it is
+	// stored under.
 	Err error
 }
 
@@ -119,10 +116,8 @@ func InspectCacheEntry(e cache.Entry) CacheEntryStatus {
 		st.Err = fmt.Errorf("experiments: cache entry %s: corrupt JSON: %w", e.Key, err)
 		return st
 	}
-	if entry.Digest != "" && entry.Digest != e.Key {
-		st.Err = fmt.Errorf("experiments: cache entry %s carries digest %s — entry is misplaced or corrupt", e.Key, entry.Digest)
-		return st
+	if entry.Digest != e.Key {
+		st.Err = misplacedEntry(e.Key, entry.Digest, "")
 	}
-	st.Measured = entry.ElapsedNS > 0
 	return st
 }

@@ -161,18 +161,13 @@ func TestInspectCacheEntry(t *testing.T) {
 	}
 	// Healthy measured entry.
 	st := InspectCacheEntry(entry("k1", table1Entry{Digest: "k1", ElapsedNS: 5}))
-	if st.Err != nil || !st.Measured || st.Key != "k1" {
+	if st.Err != nil || st.Key != "k1" {
 		t.Fatalf("healthy entry = %+v", st)
 	}
-	// Unmeasured (pre measured-cost) entry.
-	st = InspectCacheEntry(entry("k2", table1Entry{Digest: "k2"}))
-	if st.Err != nil || st.Measured {
-		t.Fatalf("unmeasured entry = %+v", st)
-	}
-	// Legacy entry without a self-digest: tolerated, unmeasured or not.
+	// Entry without a self-digest: misplaced or corrupt like a wrong one.
 	st = InspectCacheEntry(entry("k3", table1Entry{ElapsedNS: 5}))
-	if st.Err != nil || !st.Measured {
-		t.Fatalf("legacy entry = %+v", st)
+	if st.Err == nil || !strings.Contains(st.Err.Error(), "digest") {
+		t.Fatalf("digest-less entry = %+v", st)
 	}
 	// Self-digest disagreeing with the key: misplaced or corrupt.
 	st = InspectCacheEntry(entry("k4", table1Entry{Digest: "other", ElapsedNS: 5}))

@@ -2,6 +2,7 @@ package sensorfusion
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -160,5 +161,37 @@ func TestUpdateRequiresCompletedCampaign(t *testing.T) {
 	opts.Resume = true
 	if _, err := Update(opts, NewJSONLSink(&buf)); err == nil {
 		t.Fatal("Update accepted Resume")
+	}
+}
+
+// TestDoctorCacheDigestlessEntry: a cache entry without a self-digest
+// is a corrupt-cache-entry finding whose rm fix leaves the cache clean;
+// an entry carrying its own key is not a finding.
+func TestDoctorCacheDigestlessEntry(t *testing.T) {
+	dir := t.TempDir()
+	store, err := cache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put("good", map[string]any{"digest": "good", "elapsed_ns": 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put("bare", map[string]any{"elapsed_ns": 5}); err != nil {
+		t.Fatal(err)
+	}
+	findings, err := Doctor(DoctorOptions{CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := filepath.Join(dir, "bare.json")
+	if len(findings) != 1 || findings[0].Code != "corrupt-cache-entry" || findings[0].Path != bare ||
+		findings[0].Fix != "rm "+bare {
+		t.Fatalf("want one corrupt-cache-entry on %s, got %+v", bare, findings)
+	}
+	if err := os.Remove(bare); err != nil {
+		t.Fatal(err)
+	}
+	if findings, err = Doctor(DoctorOptions{CacheDir: dir}); err != nil || len(findings) != 0 {
+		t.Fatalf("after the fix: %+v, %v", findings, err)
 	}
 }
