@@ -125,14 +125,16 @@ bench-diff:
 scenarios:
 	$(GO) run ./cmd/repro scenarios -steps 25
 
-# Short coverage-guided fuzzing of the three fuzz targets (scenario
-# config decoder, results JSONL round-trip, batch fusion equivalence),
-# each seeded from a committed corpus. 5s per target keeps CI cheap;
+# Short coverage-guided fuzzing of the four fuzz targets (scenario
+# config decoder, results JSONL round-trip, batch fusion equivalence,
+# translated plan search against the reference plan), each seeded from a
+# committed corpus. 5s per target keeps CI cheap;
 # raise -fuzztime for a real hunt.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeScenario$$' -fuzztime 5s ./internal/verdict/
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordRoundTrip$$' -fuzztime 5s ./internal/results/
 	$(GO) test -run '^$$' -fuzz '^FuzzFuseBatch$$' -fuzztime 5s ./internal/fusion/
+	$(GO) test -run '^$$' -fuzz '^FuzzOptimalTranslation$$' -fuzztime 5s ./internal/attack/
 
 # Chaos soak: drive the coordinator through seeded deterministic fault
 # schedules (torn/short writes, EIO/ENOSPC, manifest rename/fsync

@@ -44,7 +44,9 @@
 // selected by CPU detection; SENSORFUSION_KERNEL or
 // SetKernel overrides) vectorizing the hot k≤2 shapes — and a
 // plan search whose uncached path allocates and copies nothing (arena
-// memo, witness segments, winners rebuilt from their batch lane index).
+// memo, witness segments, winners rebuilt from their batch lane index)
+// and whose memo keys each on-grid decision relative to Delta, so a
+// shifted copy of a solved decision is a hit, bit for bit.
 // The cmd/repro subcommands all take -parallel and -seed and inherit the same guarantee; campaign
 // and coordinate also take -cpuprofile/-memprofile (see `make
 // profile`).

@@ -102,6 +102,25 @@ func (c Context) mcSamples() int {
 	return DefaultMCSamples
 }
 
+// sampled reports whether the attacker's expectation falls back to Monte
+// Carlo: there are unseen sensors and their exact placement combinations
+// (per truth point, each unseen center on the grid over [t-w/2, t+w/2])
+// exceed maxExact.
+func (c Context) sampled() bool {
+	if len(c.UnseenWidths) == 0 {
+		return false
+	}
+	exact := maxTruthPoints
+	if c.Delta.Width() == 0 {
+		exact = 1
+	}
+	step := c.step()
+	for _, w := range c.UnseenWidths {
+		exact *= int(w/step) + 1
+	}
+	return exact > c.maxExact()
+}
+
 // Mode returns the attacker's regime at this slot: Active when
 // Sent >= N - F - far with far the number of her unsent intervals.
 // For a block of consecutive attacker slots the mode is uniform across

@@ -20,10 +20,15 @@ import (
 //     to Monte Carlo sampling when large.
 //
 // Plans are cached under a 64-bit FNV-1a hash of the canonicalized,
-// quantized context in an open-addressing table whose values live in one
-// chunked arena (planMemo), so both cache hits AND the steady-state miss
-// path are allocation-free — table and arena growth is the only
-// allocation left, amortized to nothing over a sweep. The search itself
+// quantized context (and the effective MaxExact, MCSamples and MaxTuples)
+// in an open-addressing table whose values live in one chunked arena
+// (planMemo), so both cache hits AND the steady-state miss path are
+// allocation-free — table and arena growth is the only allocation left,
+// amortized to nothing over a sweep. The decision problem commutes with
+// translation, so when shifting by Delta.Lo is exact (translation) the
+// context is hashed and searched relative to Delta and the plan shifted
+// back: a translated copy of a solved decision is a memo hit, bit for
+// bit the plan its own search would return. The search itself
 // is batched: the unseen-completion worlds are enumerated once per
 // context into a flat arena and preloaded into incremental
 // interval.Sweepers, every stealthy candidate tuple is packed once
@@ -52,10 +57,18 @@ type Optimal struct {
 	eval       evaluator
 	seenSorted []interval.Interval
 	uwSorted   []float64
-	placed     []interval.Interval
-	fallback   []interval.Interval
-	sets       [][]float64
-	setBuf     [][]float64
+	// The translated context's Seen and OwnSent, and the plan shifted
+	// back out of the canonical frame. They start out in shArr, inside
+	// the Optimal itself, so translating allocates nothing until one of
+	// them outgrows 8 intervals.
+	shSeen   []interval.Interval
+	shSent   []interval.Interval
+	out      []interval.Interval
+	shArr    [3][8]interval.Interval
+	placed   []interval.Interval
+	fallback []interval.Interval
+	sets     [][]float64
+	setBuf   [][]float64
 	// Batched-search scratch: the stealthy tuples of one decision in the
 	// kernel's endpoint-sorted shape (batch), each lane's flat odometer
 	// index (lanes, which the winner is rebuilt from), the odometer (idx)
@@ -97,28 +110,89 @@ const (
 )
 
 // Plan implements Strategy. The returned slice is owned by the strategy
-// (both cache hits and newly inserted plans point into the memo arena,
-// allocation-free) and is only valid until the next Plan call; callers
-// must copy what they retain and must not modify it.
+// (it points into the memo arena, or into a reused buffer holding the
+// plan shifted back out of the canonical frame — allocation-free either
+// way) and is only valid until the next Plan call; callers must copy
+// what they retain and must not modify it.
 func (o *Optimal) Plan(ctx Context) []interval.Interval {
 	if err := ctx.Validate(); err != nil {
 		return nil
 	}
-	key := o.hashContext(ctx)
-	if o.memo != nil {
-		if cached, ok := o.memo.get(key); ok {
-			return cached
+	t, canonical := translation(ctx)
+	if t != 0 {
+		if o.out == nil {
+			o.shSeen, o.shSent, o.out = o.shArr[0][:0], o.shArr[1][:0], o.shArr[2][:0]
+		}
+		ctx.Delta = ctx.Delta.Translate(-t)
+		o.shSeen = translateInto(o.shSeen, ctx.Seen, -t)
+		o.shSent = translateInto(o.shSent, ctx.OwnSent, -t)
+		ctx.Seen, ctx.OwnSent = o.shSeen, o.shSent
+	}
+	key := o.hashContext(ctx, canonical)
+	plan, ok := o.memo.get(key)
+	if !ok {
+		plan = o.plan(ctx)
+		memoCap := o.MemoCap
+		if memoCap <= 0 {
+			memoCap = defaultMemoCap
+		}
+		if o.memo != nil && o.memo.count < memoCap {
+			plan = o.memo.insert(key, plan)
 		}
 	}
-	plan := o.plan(ctx)
-	memoCap := o.MemoCap
-	if memoCap <= 0 {
-		memoCap = defaultMemoCap
+	if t == 0 {
+		return plan
 	}
-	if o.memo != nil && o.memo.count < memoCap {
-		plan = o.memo.insert(key, plan)
+	o.out = translateInto(o.out, plan, t)
+	return o.out
+}
+
+// translation returns the shift Plan removes from ctx before hashing and
+// searching it — Delta.Lo — and whether that shift is exact, so that
+// plan(ctx) = plan(ctx−t) + t bit for bit. It is exact when every
+// coordinate, every width and the step are multiples of 2^-10 of
+// magnitude at most 2^20, and the unseen worlds are enumerated rather
+// than sampled (the Monte Carlo seed, rngSeed, reads absolute
+// positions). Every sum and difference the search forms is then a
+// multiple of 2^-12 far inside float64's exact range in both frames, and
+// its tolerance compares (1e-9) sit far below that grid, so candidate
+// grids, alignments, witness segments, truth points, world centers,
+// fused widths and the strict argmax agree in both frames. Otherwise it
+// returns (0, false) and the search runs on absolute positions.
+func translation(ctx Context) (float64, bool) {
+	if !onGrid(ctx.step()) || !onGrid(ctx.Delta.Lo) || !onGrid(ctx.Delta.Hi) || ctx.sampled() {
+		return 0, false
 	}
-	return plan
+	for _, ivs := range [2][]interval.Interval{ctx.Seen, ctx.OwnSent} {
+		for _, iv := range ivs {
+			if !onGrid(iv.Lo) || !onGrid(iv.Hi) {
+				return 0, false
+			}
+		}
+	}
+	for _, ws := range [2][]float64{ctx.OwnWidths, ctx.UnseenWidths} {
+		for _, w := range ws {
+			if !onGrid(w) {
+				return 0, false
+			}
+		}
+	}
+	return ctx.Delta.Lo, true
+}
+
+// onGrid reports whether x is a multiple of 2^-10 with |x| <= 2^20.
+func onGrid(x float64) bool {
+	v := x * 1024
+	return v == math.Trunc(v) && math.Abs(x) <= 1<<20
+}
+
+// translateInto returns src shifted by d, written over dst's storage.
+func translateInto(dst, src []interval.Interval, d float64) []interval.Interval {
+	dst = dst[:0]
+	for _, iv := range src {
+		dst = append(dst, iv.Translate(d))
+	}
+	return dst
 }
 
 func (o *Optimal) plan(ctx Context) []interval.Interval {
@@ -342,6 +416,14 @@ func resizeInts(buf []int, n int) []int {
 	return buf[:n]
 }
 
+// maxTuples returns the effective MaxTuples.
+func (o *Optimal) maxTuples() int {
+	if o.MaxTuples > 0 {
+		return o.MaxTuples
+	}
+	return defaultMaxTuples
+}
+
 // candidateSets builds per-interval candidate center sets, thinning the
 // grid until the total tuple count respects MaxTuples, then pruning
 // dominated placements. It returns nil when any interval admits no
@@ -356,10 +438,7 @@ func resizeInts(buf []int, n int) []int {
 // plan — are bit-identical to the unpruned search; pruning only removes
 // placements the per-tuple stealth check would have rejected anyway.
 func (o *Optimal) candidateSets(ctx Context) [][]float64 {
-	maxTuples := o.MaxTuples
-	if maxTuples <= 0 {
-		maxTuples = defaultMaxTuples
-	}
+	maxTuples := o.maxTuples()
 	step := ctx.step()
 	const maxDoublings = 12
 	// sets and the per-dimension backing arrays are scratch reused
@@ -713,14 +792,7 @@ func (e *evaluator) init(ctx Context) {
 	}
 	e.truths = ctx.appendTruthPoints(e.truths[:0])
 	step := ctx.step()
-	// Count exact combinations: per truth point, each unseen sensor's
-	// center ranges over [t-w/2, t+w/2] on the grid.
-	exact := len(e.truths)
-	for _, w := range ctx.UnseenWidths {
-		pts := int(w/step) + 1
-		exact *= pts
-	}
-	if exact <= ctx.maxExact() {
+	if !ctx.sampled() {
 		d := e.stride
 		if cap(e.centers) < d {
 			e.centers = make([]float64, d)
@@ -824,9 +896,10 @@ type memoSlot struct {
 	n   uint32
 }
 
-// get returns the cached plan for key, allocation-free.
+// get returns the cached plan for key, allocation-free. A nil memo
+// caches nothing.
 func (m *planMemo) get(key uint64) ([]interval.Interval, bool) {
-	if m.count == 0 {
+	if m == nil || m.count == 0 {
 		return nil, false
 	}
 	mask := uint64(len(m.slots) - 1)
@@ -926,12 +999,22 @@ func (h *fnvHash) float(v float64) { h.word(math.Float64bits(round6(v))) }
 // canonical ordering as the old string key, with section markers so
 // field boundaries cannot alias. Seen interval order does not affect
 // the optimum, so Seen is sorted (by Lo, then Hi) into a reused scratch
-// before hashing; likewise the unseen widths.
-func (o *Optimal) hashContext(ctx Context) uint64 {
+// before hashing; likewise the unseen widths. The effective MaxExact,
+// MCSamples and MaxTuples are part of the key (one Optimal may serve
+// setups that differ only in them), and so is canonical: a context
+// translated relative to Delta never shares an entry with one searched
+// on absolute positions.
+func (o *Optimal) hashContext(ctx Context, canonical bool) uint64 {
 	h := fnvHash(fnvOffset64)
+	if canonical {
+		h.word('T')
+	}
 	h.int(ctx.N)
 	h.int(ctx.F)
 	h.int(ctx.Sent)
+	h.int(ctx.maxExact())
+	h.int(ctx.mcSamples())
+	h.int(o.maxTuples())
 	h.float(ctx.Delta.Lo)
 	h.float(ctx.Delta.Hi)
 	h.float(ctx.step())

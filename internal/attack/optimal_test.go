@@ -131,6 +131,40 @@ func TestOptimalMemoHitZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("memoized Plan hit allocates %v per call, want 0", allocs)
 	}
+
+	// A translated hit: on the 2^-10 grid, Plan(ctx+s) after Plan(ctx) is
+	// answered from ctx's entry and shifted back, still allocation-free.
+	g := Context{
+		N: 4, F: 1, Sent: 3,
+		Delta:     interval.MustNew(9.875, 10.125),
+		OwnWidths: []float64{0.25},
+		Seen: []interval.Interval{
+			interval.MustNew(9.875, 10.125),
+			interval.MustNew(9.5, 10.5),
+			interval.MustNew(9.25, 11.25),
+		},
+		Step: 0.125,
+	}
+	o = NewOptimal()
+	base := o.Plan(g)[0]
+	shifts := []float64{-3, 0.5, 1.0 / 1024, 700}
+	var moved []Context
+	for _, s := range shifts {
+		moved = append(moved, translated(g, s))
+	}
+	iter := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		iter++
+		i := iter % len(shifts)
+		if plan := o.Plan(moved[i]); len(plan) != 1 || !sameBits(plan[0], base.Translate(shifts[i])) {
+			t.Fatal("translated memo hit returned a bad plan")
+		}
+	}); allocs != 0 {
+		t.Fatalf("translated memo hit allocates %v per call, want 0", allocs)
+	}
+	if o.memo.count != 1 {
+		t.Fatalf("translated contexts made %d memo entries, want 1", o.memo.count)
+	}
 }
 
 // TestOptimalUncachedSearchZeroAllocs pins the cache-MISS path at zero
@@ -146,8 +180,9 @@ func TestOptimalUncachedSearchZeroAllocs(t *testing.T) {
 		ctx  Context
 		// path, when set, must be reached by the fixture's search:
 		// "witness" (k == 2 witness segments built for an undecided
-		// center) or "residual" (an OwnSent obligation left to the
-		// per-tuple check).
+		// center), "residual" (an OwnSent obligation left to the
+		// per-tuple check) or "translated" (on the 2^-10 grid: searched
+		// relative to Delta, the plan shifted back).
 		path string
 	}{
 		{name: "active, full knowledge (no unseen worlds)", ctx: Context{
@@ -195,6 +230,16 @@ func TestOptimalUncachedSearchZeroAllocs(t *testing.T) {
 			},
 			Step: 0.1,
 		}},
+		{name: "active, full knowledge, on the 2^-10 grid", path: "translated", ctx: Context{
+			N: 4, F: 1, Sent: 3,
+			OwnWidths: []float64{0.25},
+			Seen: []interval.Interval{
+				interval.MustNew(9.875, 10.125),
+				interval.MustNew(9.5, 10.5),
+				interval.MustNew(9.25, 11.25),
+			},
+			Step: 0.125,
+		}},
 	}
 	for _, fx := range fixtures {
 		o := NewOptimal()
@@ -202,9 +247,17 @@ func TestOptimalUncachedSearchZeroAllocs(t *testing.T) {
 		iter := 0
 		run := func() {
 			iter++
-			shift := float64(iter%64+1) * 1e-3
 			c := fx.ctx
-			c.Delta = interval.MustNew(9.9+shift, 10.1+shift)
+			if fx.path == "translated" {
+				// Distinct Delta widths: no two are translates.
+				c.Delta = interval.MustNew(10, 10+float64(iter%64+1)/1024)
+				if _, ok := translation(c); !ok {
+					t.Fatalf("%s: context not translated", fx.name)
+				}
+			} else {
+				shift := float64(iter%64+1) * 1e-3
+				c.Delta = interval.MustNew(9.9+shift, 10.1+shift)
+			}
 			if plan := o.Plan(c); len(plan) != len(c.OwnWidths) {
 				t.Fatalf("%s: bad plan %v", fx.name, plan)
 			}
@@ -561,7 +614,10 @@ func TestOptimalPlanMatchesReference(t *testing.T) {
 // the plan comparison. Over planGrid, the batch lanes the search packs
 // — after the stealthy fallback's -1 lane, each a flat index into the
 // search's (pruned) candidate sets — must decode to exactly the
-// reference's stealthy tuples, in walk order, bit for bit.
+// reference's stealthy tuples, in walk order, bit for bit. The search
+// runs relative to Delta when translation allows it, so its sets hold
+// shifted centers: each decoded tuple is shifted back by that amount
+// before the comparison.
 func TestOptimalLanesAreTheStealthyTuples(t *testing.T) {
 	o := &Optimal{} // no memo: every call searches
 	for _, pc := range planGrid(t) {
@@ -569,6 +625,7 @@ func TestOptimalLanesAreTheStealthyTuples(t *testing.T) {
 		o.MaxTuples = pc.maxTuples
 		o.lanes = o.lanes[:0]
 		o.Plan(c)
+		shift, _ := translation(c)
 		_, want := referencePlan(c, pc.maxTuples)
 		lanes := o.lanes
 		if len(lanes) > 0 && lanes[0] == -1 {
@@ -582,13 +639,164 @@ func TestOptimalLanesAreTheStealthyTuples(t *testing.T) {
 				set := o.sets[d]
 				cc, w := set[flat%len(set)], c.OwnWidths[d]
 				flat /= len(set)
-				if got := (interval.Interval{Lo: cc - w/2, Hi: cc + w/2}); math.Float64bits(got.Lo) != math.Float64bits(want[i][d].Lo) ||
-					math.Float64bits(got.Hi) != math.Float64bits(want[i][d].Hi) {
+				if got := (interval.Interval{Lo: cc - w/2, Hi: cc + w/2}).Translate(shift); !sameBits(got, want[i][d]) {
 					t.Fatalf("ctx=%+v MaxTuples=%d: lane %d dimension %d = %v, reference %v", c, pc.maxTuples, i, d, got, want[i][d])
 				}
 			}
 		}
 	}
+}
+
+// sameBits reports whether a and b have bit-identical endpoints.
+func sameBits(a, b interval.Interval) bool {
+	return math.Float64bits(a.Lo) == math.Float64bits(b.Lo) && math.Float64bits(a.Hi) == math.Float64bits(b.Hi)
+}
+
+// samePlan reports whether two plans are bit-identical.
+func samePlan(a, b []interval.Interval) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for d := range a {
+		if !sameBits(a[d], b[d]) {
+			return false
+		}
+	}
+	return true
+}
+
+// translated returns c moved by s: Delta, Seen and OwnSent shift, the
+// widths and every other field stay.
+func translated(c Context, s float64) Context {
+	shift := func(ivs []interval.Interval) []interval.Interval {
+		var out []interval.Interval
+		for _, iv := range ivs {
+			out = append(out, interval.Interval{Lo: iv.Lo + s, Hi: iv.Hi + s})
+		}
+		return out
+	}
+	c.Delta = interval.Interval{Lo: c.Delta.Lo + s, Hi: c.Delta.Hi + s}
+	c.Seen, c.OwnSent = shift(c.Seen), shift(c.OwnSent)
+	return c
+}
+
+// TestOptimalPlanTranslationEquivariant pins the translation-canonical
+// memo over planGrid. After a memoized Optimal has solved ctx, its plan
+// for ctx+s must equal referencePlan(ctx+s) bit for bit, whether s is on
+// the 2^-10 grid or not. An on-grid translate of a context with exact
+// worlds must be answered from the memo without a search (still one
+// entry); an off-grid or Monte Carlo translate must not share the entry —
+// not even one moved to Delta.Lo = 1e-7, whose quantized coordinates equal
+// the canonical frame's.
+func TestOptimalPlanTranslationEquivariant(t *testing.T) {
+	type shift struct {
+		s      float64
+		onGrid bool
+	}
+	shared := 0
+	for _, pc := range planGrid(t) {
+		shifts := []shift{
+			{3, true},
+			{-1000.25, true},
+			{1<<19 + 1.0/1024, true},
+			{0.1, false},
+			{-1.0 / 3, false},
+			{1e-7 - pc.ctx.Delta.Lo, false},
+		}
+		for _, sh := range shifts {
+			o := NewOptimal()
+			o.MaxTuples = pc.maxTuples
+			o.Plan(pc.ctx)
+			c := translated(pc.ctx, sh.s)
+			got := o.Plan(c)
+			if want, _ := referencePlan(c, pc.maxTuples); !samePlan(got, want) {
+				t.Fatalf("ctx=%+v shift %v MaxTuples=%d: plan %v, reference %v", pc.ctx, sh.s, pc.maxTuples, got, want)
+			}
+			wantEntries := 2
+			if sh.onGrid && pc.worlds != "mc" {
+				wantEntries = 1
+				shared++
+			}
+			if o.memo.count != wantEntries {
+				t.Fatalf("ctx=%+v (%s worlds) shift %v: %d memo entries, want %d", pc.ctx, pc.worlds, sh.s, o.memo.count, wantEntries)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no translate was answered from the memo")
+	}
+}
+
+// TestOptimalSharedMatchesFresh pins the memo key's coverage of the
+// search settings: one Optimal serving setups that differ only in
+// MaxExact, MCSamples or MaxTuples must answer each of them with exactly
+// the bits a fresh Optimal returns. Contexts come on and off the 2^-10
+// grid, so the key is exercised both relative to Delta and on absolute
+// positions.
+func TestOptimalSharedMatchesFresh(t *testing.T) {
+	settings := []struct{ maxExact, mcSamples, maxTuples int }{
+		{1 << 20, 12, 120},
+		{1, 12, 120},
+		{1, 7, 120},
+		{1 << 20, 12, 3},
+		{0, 0, 0},
+	}
+	rng := rand.New(rand.NewSource(15))
+	shared := NewOptimal()
+	for i := 0; i < 200; i++ {
+		mode := []Mode{Passive, Active}[rng.Intn(2)]
+		c := planFixture(rng, 1+rng.Intn(2), mode, false, false)
+		if i%2 == 1 {
+			c = translated(c, 0.1)
+		}
+		for _, st := range settings {
+			c.MaxExact, c.MCSamples = st.maxExact, st.mcSamples
+			fresh := NewOptimal()
+			fresh.MaxTuples, shared.MaxTuples = st.maxTuples, st.maxTuples
+			want := append([]interval.Interval(nil), fresh.Plan(c)...)
+			if got := shared.Plan(c); !samePlan(got, want) {
+				t.Fatalf("ctx=%+v MaxTuples=%d: shared Optimal %v, fresh %v", c, st.maxTuples, got, want)
+			}
+		}
+	}
+}
+
+// FuzzOptimalTranslation checks translated plans against the reference:
+// a random planFixture context, solved once by a memoized Optimal, then
+// asked again shifted by num/1024 (plus 0.1 when offGrid) — on or off
+// the 2^-10 grid, inside or past its 2^20 bound — must come back as
+// referencePlan's plan for the shifted context, bit for bit.
+func FuzzOptimalTranslation(f *testing.F) {
+	f.Add(int64(1), int64(3*1024), false)
+	f.Add(int64(7), int64(-5), true)
+	f.Add(int64(42), int64(1)<<31, false)
+	f.Fuzz(func(t *testing.T, seed, num int64, offGrid bool) {
+		rng := rand.New(rand.NewSource(seed))
+		k := 1 + rng.Intn(3)
+		mode := []Mode{Passive, Active}[rng.Intn(2)]
+		full := mode == Active && rng.Intn(2) == 0
+		c := planFixture(rng, k, mode, full, rng.Intn(2) == 0)
+		c.MaxExact, c.MCSamples = 1<<20, 12
+		if rng.Intn(4) == 0 {
+			c.MaxExact = 2
+		}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("fixture: %v", err)
+		}
+		maxTuples := []int{120, 3}[rng.Intn(2)]
+		s := float64(num%(1<<32)) / 1024
+		if offGrid {
+			s += 0.1
+		}
+		o := NewOptimal()
+		o.MaxTuples = maxTuples
+		o.Plan(c)
+		cs := translated(c, s)
+		got := o.Plan(cs)
+		if want, _ := referencePlan(cs, maxTuples); !samePlan(got, want) {
+			t.Fatalf("ctx=%+v shift %v MaxTuples=%d: plan %v, reference %v", c, s, maxTuples, got, want)
+		}
+	})
 }
 
 // planFixture builds a random valid context with k placements in the
