@@ -11,7 +11,9 @@
 //   - BenchmarkSweeperFuseBatch / BenchmarkSweeperFuseBatchWide vs
 //     BenchmarkSweeperFuseScalar — the dispatched Marzullo lane kernel
 //     (AVX2 on capable amd64, `make bench-kernels` compares every mode)
-//     against per-candidate scoring, at 64 and 512 candidates.
+//     against per-candidate scoring, at 64 and 512 candidates;
+//     BenchmarkSweeperFuseBatchK1 is the k=1 summary kernel the
+//     case-study scenarios run on.
 //   - BenchmarkScenarioFaultsStep (internal/experiments) — one step of
 //     the fault-injection scenario generator on its Sweeper hot path.
 //   - BenchmarkAttackOptimalUncached(K2) / BenchmarkAttackOptimalCached /
@@ -256,6 +258,41 @@ func BenchmarkSweeperFuseBatchWide(b *testing.B) {
 			batch.Add(c)
 		}
 		sw.ScoreBatch(&batch, 2, widths, ok)
+		for j := range ok {
+			if !ok[j] {
+				b.Fatal("fusion unexpectedly empty")
+			}
+		}
+	}
+}
+
+// BenchmarkSweeperFuseBatchK1 is the k=1 shape of the case-study
+// scenarios: one compromised sensor placed against worlds of four base
+// intervals, about 16 candidate lanes per ScoreBatch call, f=1. Each
+// call builds the per-(base, need) k=1 summary once and scores every
+// lane against it; 0 allocs/op is part of the contract.
+func BenchmarkSweeperFuseBatchK1(b *testing.B) {
+	rng := rand.New(rand.NewSource(16))
+	var sw interval.Sweeper
+	sw.Preload([]interval.Interval{
+		interval.MustCentered(10.1, 1), interval.MustCentered(9.8, 2),
+		interval.MustCentered(10.3, 3), interval.MustCentered(9.9, 1.5),
+	})
+	cands := make([][]interval.Interval, 16)
+	for i := range cands {
+		cands[i] = []interval.Interval{interval.MustCentered(10+2*(rng.Float64()-0.5), 0.5+rng.Float64())}
+	}
+	var batch interval.Batch
+	widths := make([]float64, len(cands))
+	ok := make([]bool, len(cands))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch.Reset(1)
+		for _, c := range cands {
+			batch.Add(c)
+		}
+		sw.ScoreBatch(&batch, 1, widths, ok)
 		for j := range ok {
 			if !ok[j] {
 				b.Fatal("fusion unexpectedly empty")

@@ -8,6 +8,7 @@
 //	repro figures [-fig N] [-parallel N] [-seed S] [-format F] [-out FILE]
 //	repro sweep [-steps 500] [-seed 1] [-parallel N]
 //	repro campaign [-k 0] [-step 1] [-seed 1] [-parallel N] [-batch B] [-format F] [-out FILE] [-shard i/m|SET] [-cache DIR] [-compress] [-rotate SIZE] [-cpuprofile FILE] [-memprofile FILE]
+//	repro scenarios [-suite S1,S2] [-steps 100] [-seed 2014] [-parallel N] [-batch B] [-shard i/m|SET] [-cache DIR] [-fuzz N] [-fuzz-break] [-format F] [-out FILE] [-cpuprofile FILE] [-memprofile FILE]
 //	repro strategies [-schedule K] [-parallel N] [-format F] [-out FILE]
 //	repro merge [-format F] [-out FILE] [-expect N] [-window W] [-compress] [-rotate SIZE] shard1.jsonl[.gz] [shard2.jsonl ...]
 //	repro coordinate -state DIR [-workers N] [-shards M] [-resume] [-follow] [-deadline D] [-balance] [-partial] [-window W] [-k 0] [-step 1] [-seed 1] [-lengths L1,L2,...] [-format F] [-out FILE] [-compress] [-rotate SIZE] [-cpuprofile FILE] [-memprofile FILE]
@@ -728,10 +729,12 @@ func runScenarios(args []string) error {
 	cacheDir := fs.String("cache", "", "content-addressed result store directory (reused across runs and shards)")
 	fuzzN := fs.Int("fuzz", 0, "additionally check N random fusion configurations against the paper's claims, shrinking any counterexample to a minimal reproducer")
 	fuzzBreak := fs.Bool("fuzz-break", false, "fuzzer self-test: inject an undeclared over-budget corruption into every fuzzed configuration — the run must FAIL with a shrunk reproducer")
+	pf := addProfileFlags(fs)
 	sf := addSinkFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	defer pf.start()()
 	var suites []string
 	if *suiteFlag != "" {
 		for _, tok := range strings.Split(*suiteFlag, ",") {
@@ -821,7 +824,7 @@ func shardDesc(s experiments.ShardSpec) string {
 }
 
 // profileFlags carries the optional pprof outputs shared by the heavy
-// subcommands (campaign, coordinate). Profiles are diagnostics: a
+// subcommands (campaign, coordinate, scenarios). Profiles are diagnostics: a
 // failure to write one is reported on stderr but never fails the run.
 type profileFlags struct {
 	cpu, mem *string

@@ -323,6 +323,22 @@ func TestReproScenarios(t *testing.T) {
 	if !strings.Contains(out, "reproducer for scenario-fuzz") || !strings.Contains(out, `"widths"`) {
 		t.Fatalf("fuzz-break self-test lacks a reproducer:\n%s", out)
 	}
+
+	// -cpuprofile/-memprofile write pprof files (gzip-framed protobuf)
+	// without changing the records.
+	cpuProf := filepath.Join(dir, "cpu.prof")
+	memProf := filepath.Join(dir, "mem.prof")
+	prof := filepath.Join(dir, "prof.jsonl")
+	run(false, append([]string{"scenarios", "-suite", "faults", "-cpuprofile", cpuProf, "-memprofile", memProf,
+		"-format", "json", "-out", prof}, common...)...)
+	for _, p := range []string{cpuProf, memProf} {
+		if data := readFile(p); len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Fatalf("%s is not a pprof profile (%d bytes)", p, len(data))
+		}
+	}
+	if readFile(prof) != readFile(fOnly) {
+		t.Fatal("profiling changed the scenario records")
+	}
 }
 
 // TestReproCoordinate drives the resumable multi-process coordinator

@@ -80,6 +80,40 @@ func TestCompareGeomeanAndAllocGate(t *testing.T) {
 	}
 }
 
+// TestCompareNoisyAllocsSlack: a scheduling-dependent benchmark may
+// drift within its stated slack, but growth past it still fails, and
+// the slack never reaches benchmarks outside noisyAllocs (their
+// non-drifting siblings included).
+func TestCompareNoisyAllocsSlack(t *testing.T) {
+	old := map[string]result{
+		"BenchmarkCampaignBatched/batch=1-2": {NsPerOp: 1, Allocs: 41010, HasAlloc: true},
+		"BenchmarkBoundedMerge/window=64":    {NsPerOp: 1, Allocs: 352058, HasAlloc: true},
+		"BenchmarkBoundedMerge/window=0-2":   {NsPerOp: 1, Allocs: 352058, HasAlloc: true},
+		"BenchmarkExact-2":                   {NsPerOp: 1, Allocs: 41010, HasAlloc: true},
+	}
+	cur := map[string]result{
+		"BenchmarkCampaignBatched/batch=1-2": {NsPerOp: 1, Allocs: 41010 + noisyAllocSlack, HasAlloc: true},
+		"BenchmarkBoundedMerge/window=64":    {NsPerOp: 1, Allocs: 352059, HasAlloc: true},
+		"BenchmarkBoundedMerge/window=0-2":   {NsPerOp: 1, Allocs: 352059, HasAlloc: true},
+		"BenchmarkExact-2":                   {NsPerOp: 1, Allocs: 41011, HasAlloc: true},
+	}
+	d := compare(old, cur)
+	want := []string{"BenchmarkBoundedMerge/window=0-2:", "BenchmarkExact-2:"}
+	if len(d.AllocGrowth) != len(want) {
+		t.Fatalf("alloc growth = %v, want exactly %v", d.AllocGrowth, want)
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(d.AllocGrowth[i], w) {
+			t.Fatalf("alloc growth = %v, want exactly %v", d.AllocGrowth, want)
+		}
+	}
+	cur["BenchmarkCampaignBatched/batch=1-2"] = result{NsPerOp: 1, Allocs: 41010 + noisyAllocSlack + 1, HasAlloc: true}
+	d = compare(old, cur)
+	if len(d.AllocGrowth) != 3 || !strings.HasPrefix(d.AllocGrowth[1], "BenchmarkCampaignBatched/batch=1-2:") {
+		t.Fatalf("alloc growth = %v, want the batched benchmark's growth past the slack flagged", d.AllocGrowth)
+	}
+}
+
 func TestCompareFlagsUniformSlowdown(t *testing.T) {
 	old := map[string]result{"A": {NsPerOp: 100}, "B": {NsPerOp: 100}}
 	cur := map[string]result{"A": {NsPerOp: 130}, "B": {NsPerOp: 130}}

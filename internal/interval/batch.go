@@ -129,10 +129,10 @@ func (s *Sweeper) FuseBatch(b *Batch, f int, out []Interval, ok []bool) {
 		return
 	}
 	// Lane kernels (kernel.go) cover the hot candidate shapes k=1 and
-	// k=2; they read the raw base arrays plus per-need threshold tables,
-	// not the sentinel copies, so ensureSentinels is skipped.
-	if b.k >= 1 && b.k <= 2 && activeKernel != kernelGeneric {
-		s.fuseBatchLanes(b, need, out, nil, ok)
+	// k=2; they read the raw base arrays (plus, for k=2, per-need
+	// threshold tables), not the sentinel copies, so ensureSentinels is
+	// skipped.
+	if activeKernel != kernelGeneric && s.fuseBatchLanes(b, need, out, nil, ok) {
 		return
 	}
 	s.ensureSentinels()
@@ -161,8 +161,7 @@ func (s *Sweeper) ScoreBatch(b *Batch, f int, widths []float64, ok []bool) {
 		}
 		return
 	}
-	if b.k >= 1 && b.k <= 2 && activeKernel != kernelGeneric {
-		s.fuseBatchLanes(b, need, nil, widths, ok)
+	if activeKernel != kernelGeneric && s.fuseBatchLanes(b, need, nil, widths, ok) {
 		return
 	}
 	s.ensureSentinels()

@@ -31,7 +31,7 @@ type Sweeper struct {
 	// lazily by ensureSentinels after any base mutation.
 	slos, shis []float64
 	sclean     bool
-	// thrLo/thrHi are the lane kernels' qualification tables (kernel.go):
+	// thrLo/thrHi are the k=2 lane kernels' qualification tables (kernel.go):
 	// a base endpoint qualifies for the fusion extremes iff the candidate
 	// coverage contribution d there satisfies d > thr. Valid for coverage
 	// threshold kneed; kclean marks them current. Rebuilt lazily by
